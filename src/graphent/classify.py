@@ -105,10 +105,10 @@ def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, f
         raise ValueError(f"unknown measure kind {kind!r}")
     out = []
     for entry in all_entries():
-        psi = build_graph_state(entry.graph)
         if kind == "GCM":
-            out.append((entry.id, gcm(psi).value))
+            out.append((entry.id, gcm(entry.graph).value))
         else:
+            psi = build_graph_state(entry.graph)
             out.append((entry.id, gem(psi, cfg or GemConfig()).value))
     return out
 

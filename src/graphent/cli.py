@@ -126,12 +126,11 @@ def cmd_state(args) -> int:
 
 def cmd_measure(args, kind: str) -> int:
     g = _load_graph(args)
-    psi = build_graph_state(g)
     if kind == "GCM":
-        result = gcm(psi)
+        result = gcm(g)
         payload = {"measure": "GCM", "value": result.value}
     else:
-        result = gem(psi, _gem_config(args))
+        result = gem(build_graph_state(g), _gem_config(args))
         d = result.diagnostics
         payload = {
             "measure": "GEM",

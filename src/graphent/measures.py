@@ -1,12 +1,17 @@
 """Entanglement measures for pure multiqubit states.
 
-Two measures are provided. The closed-form one aggregates the purities
-of every nonempty proper subsystem:
+Two measures are provided. The closed-form one (GCM) aggregates the
+purities of every nonempty proper subsystem:
 
     2^(1 - n/2) * sqrt(2^n - 2 - sum_A Tr rho_A^2)
 
 with A running over all 2^n - 2 subsystems, both halves of each
-bipartition counted. The geometric one is
+bipartition counted. It takes either input. For a Graph, every purity
+is exact and combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank
+taken over GF(2), so no statevector is built ("cut-rank" path). For a
+statevector, such as a graph state after arbitrary local unitaries,
+each purity comes from a reduced Gram matrix ("statevector" path). The
+geometric one is
 
     1 - max |<phi|psi>|^2
 
@@ -24,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.reductions import subset_purity
+from graphent.graphs import Graph
+from graphent.reductions import (
+    _smaller_gram,
+    _split_matrix,
+    _subset,
+    cut_rank_histogram,
+    subset_purity,
+)
 from graphent.states import num_qubits
 
 _TIE_TOL = 1e-15
@@ -87,8 +99,12 @@ class GemDiagnostics:
 
 @dataclass(frozen=True)
 class MeasureResult:
+    """A measure value and the path that produced it: "cut-rank" or
+    "statevector" for GCM, "see-saw" for GEM."""
+
     kind: str
     value: float
+    method: str
     diagnostics: GemDiagnostics | None = None
 
 
@@ -100,27 +116,40 @@ def _normalized(state: np.ndarray) -> np.ndarray:
     return s / norm
 
 
-def gcm(state: np.ndarray) -> MeasureResult:
+def gcm(state: Graph | np.ndarray) -> MeasureResult:
     """Closed-form measure from all subsystem purities. Deterministic.
 
-    Only subsystems up to half the qubits are reduced explicitly; each
-    purity equals its complement's, so smaller-than-half layers count
-    twice and the exact-half layer (even n) once.
+    A Graph stands for its graph state |G>. Its purities are 2^-k summed
+    over the cut-rank histogram; each term is a dyadic rational, so the
+    sum is exact and independent of order. A statevector is reduced
+    explicitly, only on subsystems up to half the qubits: each purity
+    equals its complement's, so smaller-than-half layers count twice and
+    the exact-half layer (even n) once.
     """
-    n = num_qubits(state)
+    is_graph = isinstance(state, Graph)
+    n = state.n if is_graph else num_qubits(state)
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
+    if is_graph:
+        counts = cut_rank_histogram(state)
+        total = 2.0 * float(counts @ 0.5 ** np.arange(counts.size))
+        return _gcm_result(n, total, "cut-rank")
     s = _normalized(state)
     total = 0.0
     for r in range(1, n // 2 + 1):
         weight = 1.0 if 2 * r == n else 2.0
         for keep in itertools.combinations(range(1, n + 1), r):
             total += weight * subset_purity(s, keep)
-    radicand = 2**n - 2 - total
+    return _gcm_result(n, total, "statevector")
+
+
+def _gcm_result(n: int, purity_sum: float, method: str) -> MeasureResult:
+    """2^(1 - n/2) sqrt(2^n - 2 - purity_sum) over all 2^n - 2 subsystems."""
+    radicand = 2**n - 2 - purity_sum
     if radicand < -1e-10:
         raise ValueError(f"purity sum exceeds bound by {-radicand}")
     value = 2.0 ** (1.0 - n / 2.0) * np.sqrt(max(radicand, 0.0))
-    return MeasureResult(kind="GCM", value=float(value))
+    return MeasureResult(kind="GCM", value=float(value), method=method)
 
 
 def product_state_vector(phi: ProductState) -> np.ndarray:
@@ -257,7 +286,8 @@ def gem(state: np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
         degenerate_redraws=degenerate_redraws,
         restarts_at_best=at_best,
     )
-    return MeasureResult(kind="GEM", value=1.0 - best_fid, diagnostics=diag)
+    return MeasureResult(kind="GEM", value=1.0 - best_fid, method="see-saw",
+                         diagnostics=diag)
 
 
 def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
@@ -267,21 +297,10 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     top Schmidt weight, so this is exact for 2 qubits and a lower bound
     on the geometric measure otherwise.
     """
-    n = num_qubits(state)
-    cut = tuple(cut)
-    if not cut or len(cut) >= n:
-        raise ValueError(f"cut must be a nonempty proper subset, got {cut!r}")
-    s = _normalized(state)
-    keep = cut if len(cut) <= n - len(cut) else tuple(
-        q for q in range(1, n + 1) if q not in cut
-    )
-    t = s.reshape((2,) * n)
-    kept_axes = [q - 1 for q in keep]
-    if len(set(keep)) != len(keep) or any(not 1 <= q <= n for q in keep):
-        raise ValueError(f"bad cut {cut!r} for n={n}")
-    other = [ax for ax in range(n) if ax not in kept_axes]
-    m = np.transpose(t, kept_axes + other).reshape(2 ** len(keep), -1)
-    gram = m @ m.conj().T
+    n, keep = _subset(state, cut)
+    if len(keep) == n:
+        raise ValueError(f"cut must be a proper subset, got {keep!r}")
+    gram = _smaller_gram(_split_matrix(_normalized(state), keep, n))
     lam = float(np.linalg.eigvalsh(gram)[-1])
     return 1.0 - min(lam, 1.0)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphent.graphs import Graph, neighbors
+from graphent.graphs import MAX_VERTICES, Graph, neighbors
 
 # exp(-i pi/4 X): square root of X up to phase
 _SQRT_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -22,16 +22,16 @@ def num_qubits(state: np.ndarray) -> int:
     state = np.asarray(state)
     if state.ndim != 1:
         raise ValueError(f"statevector must be 1-D, got shape {state.shape}")
-    n = int(np.log2(state.size).round())
-    if 2**n != state.size or n < 1:
-        raise ValueError(f"statevector length {state.size} is not a power of two")
-    return n
+    size = state.size
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"statevector length {size} is not a power of two")
+    return size.bit_length() - 1
 
 
 def plus_state(n: int) -> np.ndarray:
     """|+>^n: the uniform superposition with amplitude 2^(-n/2)."""
-    if not 1 <= n <= 16:
-        raise ValueError(f"qubit count must be in 1..16, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"qubit count must be in 1..{MAX_VERTICES}, got {n}")
     return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -129,6 +130,15 @@ def test_equiv_equivalent_relabeled(capsys):
     code, out, _ = run(capsys, "equiv", "--edges", "1 2,2 3", "--edges2", "2 1,1 3")
     assert code == 0
     assert out == "equivalent\n"
+
+
+def test_gcm_cycle_at_max_vertices_within_budget(capsys):
+    edges = ",".join(f"{v} {v % 16 + 1}" for v in range(1, 17))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gcm", "--edges", edges)
+    assert code == 0
+    assert out.startswith("GCM = ")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_file_input(tmp_path, capsys):

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from graphent.graphs import local_complement, make_graph
+from graphent.catalog import all_entries
+from graphent.graphs import MAX_VERTICES, local_complement, make_graph
 from graphent.measures import (
     DegenerateContractionError,
     GemConfig,
@@ -65,6 +66,51 @@ def test_gcm_closed_forms():
         assert gcm(build_graph_state(g)).value == pytest.approx(expected, abs=1e-12)
 
 
+def test_gcm_graph_path_matches_statevector_path_on_catalog():
+    for e in all_entries():
+        by_graph = gcm(e.graph)
+        by_state = gcm(build_graph_state(e.graph))
+        assert by_graph.value == pytest.approx(by_state.value, abs=1e-12), e.id
+
+
+def test_gcm_graph_path_matches_statevector_path_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 10))
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return make_graph(n, [p for p, k in zip(pairs, keep) if k])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(graphs())
+    def check(g):
+        assert gcm(g).value == pytest.approx(
+            gcm(build_graph_state(g)).value, abs=1e-12
+        )
+
+    check()
+
+
+def test_gcm_graph_path_star_and_complete_at_max_vertices():
+    # Every cut of a star or a complete graph has cut-rank 1.
+    n = MAX_VERTICES
+    expected = 2.0 ** (1.0 - n / 2.0) * np.sqrt((2.0**n - 2.0) / 2.0)
+    star = make_graph(n, [(1, j) for j in range(2, n + 1)])
+    complete = make_graph(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
+    for g in (star, complete):
+        assert gcm(g).value == pytest.approx(expected, abs=1e-12)
+
+
+def test_gcm_reports_its_method():
+    g = make_graph(3, [(1, 2), (2, 3)])
+    assert gcm(g).method == "cut-rank"
+    assert gcm(build_graph_state(g)).method == "statevector"
+
+
 def test_gcm_plus_state_is_zero():
     for n in (2, 4, 6):
         assert gcm(plus_state(n)).value == pytest.approx(0.0, abs=1e-12)
@@ -73,6 +119,8 @@ def test_gcm_plus_state_is_zero():
 def test_gcm_rejects_single_qubit():
     with pytest.raises(ValueError):
         gcm(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        gcm(make_graph(1, []))
 
 
 def test_gcm_deterministic():
@@ -258,6 +306,9 @@ def test_bipartite_oracle_validation():
         gem_bipartite_oracle(psi, [])
     with pytest.raises(ValueError):
         gem_bipartite_oracle(psi, [1, 2, 3])
+    for cut in ((1, 1, 1), (9, 1, 2)):
+        with pytest.raises(ValueError):
+            gem_bipartite_oracle(ghz(4), cut)
 
 
 def test_bipartite_oracle_lower_bounds_gem():

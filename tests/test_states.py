@@ -223,3 +223,5 @@ def test_num_qubits_validation():
         num_qubits(np.ones(6))
     with pytest.raises(ValueError):
         num_qubits(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="length 0 is not a power of two"):
+        num_qubits(np.zeros(0))
