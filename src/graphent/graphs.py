@@ -1,7 +1,9 @@
 """Undirected simple graphs on labeled vertices.
 
-Construction, isomorphism testing, local complementation, and the
-enumeration of local-complementation orbits modulo isomorphism.
+Construction, isomorphism testing, local complementation, and
+local-complementation orbits modulo isomorphism. One breadth-first
+search serves both the orbit enumeration (lc_orbit) and the
+equivalence test (are_lc_equivalent), which stops at its target.
 Vertices are 1-indexed everywhere in the public interface.
 """
 
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,13 +50,10 @@ class LcOrbit:
     """Closure of a graph under local complementation, modulo isomorphism.
 
     ``representatives`` holds one canonically labeled graph per
-    isomorphism class. ``moves`` optionally records, for every
-    (representative, vertex) pair visited, the canonical form of the
-    resulting graph.
+    isomorphism class.
     """
 
     representatives: frozenset[Graph]
-    moves: dict[tuple[Graph, int], Graph] | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -251,8 +250,6 @@ def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return None
-    if degree_sequence(g1) != degree_sequence(g2):
-        return None
     if _neighbor_degree_profile(g1) != _neighbor_degree_profile(g2):
         return None
     c1, p1 = _canonical_with_perm(g1)
@@ -270,60 +267,56 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return find_isomorphism(g1, g2) is not None
 
 
-def lc_orbit(g: Graph, max_size: int = 10**6, record_moves: bool = False) -> LcOrbit:
-    """Breadth-first closure of g under local complementation.
+def _lc_search(g: Graph, max_size: int, target: Graph | None = None) -> set[Graph]:
+    """Breadth-first closure of g under local complementation, modulo
+    isomorphism: the canonical forms reached.
 
-    Representatives are deduplicated by canonical form, so the orbit is
-    taken modulo isomorphism. Raises OrbitBudgetExceeded if the closure
-    would grow past max_size representatives.
+    Stops as soon as the canonical form ``target`` is reached, so the
+    set holds target exactly when it lies in g's orbit. Raises
+    OrbitBudgetExceeded if the set would grow past max_size before that.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     start = canonical_form(g)
     reps = {start}
     queue = deque([start])
-    moves: dict[tuple[Graph, int], Graph] | None = {} if record_moves else None
-    while queue:
+    while queue and target not in reps:
         cur = queue.popleft()
         for a in range(1, g.n + 1):
             nxt = canonical_form(local_complement(cur, a))
-            if moves is not None:
-                moves[(cur, a)] = nxt
-            if nxt not in reps:
-                if len(reps) >= max_size:
-                    raise OrbitBudgetExceeded(
-                        f"orbit exceeds budget of {max_size} representatives"
-                    )
-                reps.add(nxt)
-                queue.append(nxt)
-    return LcOrbit(frozenset(reps), moves)
+            if nxt in reps:
+                continue
+            if nxt != target and len(reps) >= max_size:
+                raise OrbitBudgetExceeded(
+                    f"orbit exceeds budget of {max_size} representatives"
+                )
+            reps.add(nxt)
+            if nxt == target:
+                break
+            queue.append(nxt)
+    return reps
+
+
+def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
+    """Closure of g under local complementation, modulo isomorphism.
+
+    Raises OrbitBudgetExceeded if the closure would grow past max_size
+    representatives.
+    """
+    return LcOrbit(frozenset(_lc_search(g, max_size)))
 
 
 def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
     """True if a sequence of local complementations links the two graphs,
-    up to relabeling of vertices. Symmetric in its arguments."""
+    up to relabeling of vertices. Symmetric in its arguments.
+
+    Searches g1's orbit and stops on reaching g2, so max_size binds only
+    when g2 is not reached first.
+    """
     if g1.n != g2.n:
         return False
     target = canonical_form(g2)
-    start = canonical_form(g1)
-    if start == target:
-        return True
-    reps = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for a in range(1, g1.n + 1):
-            nxt = canonical_form(local_complement(cur, a))
-            if nxt == target:
-                return True
-            if nxt not in reps:
-                if len(reps) >= max_size:
-                    raise OrbitBudgetExceeded(
-                        f"orbit exceeds budget of {max_size} representatives"
-                    )
-                reps.add(nxt)
-                queue.append(nxt)
-    return False
+    return target in _lc_search(g1, max_size, target)
 
 
 def _check_vertex(g: Graph, a) -> None:

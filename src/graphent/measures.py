@@ -39,7 +39,7 @@ from graphent.reductions import (
 )
 from graphent.states import num_qubits
 
-_TIE_TOL = 1e-15
+_TIE_TOL = 1e-9
 _DEGENERATE_NORM = 1e-15
 _MAX_REDRAWS = 8
 
@@ -168,18 +168,20 @@ def product_fidelity(state: np.ndarray, phi: ProductState) -> float:
     return float(abs(np.vdot(product_state_vector(phi), s)) ** 2)
 
 
-def _environment(psi_t: np.ndarray, factors, k: int) -> np.ndarray:
-    """Contraction of the state against every factor except k.
+def _batched_environment(psi_t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
+    """Contraction of the state against every factor except k, for all
+    restarts at once; factors is (R, n, 2) and the result (R, 2).
 
-    The optimal factor k is this vector normalized, and the fidelity it
-    achieves is its squared norm.
+    The optimal factor k is each row normalized, and the fidelity it
+    achieves is the row's squared norm.
     """
     n = psi_t.ndim
-    t = np.moveaxis(psi_t, k, n - 1)
-    others = [j for j in range(n) if j != k]
-    for j in others:
-        t = np.tensordot(np.conj(factors[j]), t.reshape(2, -1), axes=(0, 0))
-    return t.reshape(2)
+    r = factors.shape[0]
+    t = np.moveaxis(psi_t, k, n - 1).reshape(1, -1)
+    t = np.broadcast_to(t, (r, t.shape[1]))
+    for j in [j for j in range(n) if j != k]:
+        t = np.einsum("ra,rab->rb", np.conj(factors[:, j]), t.reshape(r, 2, -1))
+    return t
 
 
 def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
@@ -194,8 +196,8 @@ def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
         raise ValueError(f"state has {n} qubits but product state has {phi.n}")
     if not 1 <= k <= n:
         raise ValueError(f"qubit {k} out of range for n={n}")
-    s = _normalized(state)
-    env = _environment(s.reshape((2,) * n), phi.factors, k - 1)
+    psi_t = _normalized(state).reshape((2,) * n)
+    env = _batched_environment(psi_t, np.stack(phi.factors)[None], k - 1)[0]
     norm = np.linalg.norm(env)
     if norm < _DEGENERATE_NORM:
         raise DegenerateContractionError(
@@ -214,24 +216,14 @@ def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarr
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _batched_environment(psi_t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
-    """Environment vectors for all restarts at once; factors is (R, n, 2)."""
-    n = psi_t.ndim
-    r = factors.shape[0]
-    t = np.moveaxis(psi_t, k, n - 1).reshape(1, -1)
-    t = np.broadcast_to(t, (r, t.shape[1]))
-    for j in [j for j in range(n) if j != k]:
-        t = np.einsum("ra,rab->rb", np.conj(factors[:, j]), t.reshape(r, 2, -1))
-    return t
-
-
 def gem(state: np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
     """Geometric measure by see-saw over random product-state restarts.
 
     Each restart's starting factors come from a dedicated stream keyed
     by (seed, restart index), sweeps update qubits 1..n cyclically, and
-    the winner is the highest final fidelity with ties broken toward
-    the lowest restart index. The result is reproducible for a fixed
+    the winner is the highest final fidelity with ties (within _TIE_TOL,
+    the restarts that restarts_at_best counts) broken toward the lowest
+    restart index. The result is reproducible for a fixed
     config and is an upper bound on the true measure.
     """
     cfg = cfg or GemConfig()
@@ -276,7 +268,7 @@ def gem(state: np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
     fidelities = np.clip(fidelities, 0.0, 1.0)
     best_fid = float(np.max(fidelities))
     best_index = int(np.flatnonzero(fidelities >= best_fid - _TIE_TOL)[0])
-    at_best = int(np.sum(fidelities >= best_fid - 1e-9))
+    at_best = int(np.sum(fidelities >= best_fid - _TIE_TOL))
     diag = GemDiagnostics(
         restarts_used=r,
         best_restart_index=best_index,

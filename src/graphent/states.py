@@ -35,25 +35,28 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
 
 
+def _cz_in_place(state: np.ndarray, n: int, i: int, j: int) -> None:
+    # Negate the amplitudes whose bits for qubits i and j are both set.
+    idx = np.arange(state.size)
+    mask = (1 << (n - i)) | (1 << (n - j))
+    state[(idx & mask) == mask] *= -1.0
+
+
 def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
     """Controlled-Z between qubits i and j: negate amplitudes with both bits set."""
     n = num_qubits(state)
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad qubit pair ({i}, {j}) for n={n}")
     out = np.array(state, dtype=complex)
-    idx = np.arange(out.size)
-    mask = (1 << (n - i)) | (1 << (n - j))
-    out[(idx & mask) == mask] *= -1.0
+    _cz_in_place(out, n, i, j)
     return out
 
 
 def build_graph_state(g: Graph) -> np.ndarray:
     """|G>: apply one CZ per edge of g to |+>^n."""
     state = plus_state(g.n)
-    idx = np.arange(state.size)
     for i, j in g.edges:
-        mask = (1 << (g.n - i)) | (1 << (g.n - j))
-        state[(idx & mask) == mask] *= -1.0
+        _cz_in_place(state, g.n, i, j)
     return state
 
 

@@ -1,6 +1,7 @@
 """Catalog data integrity and edge-list format tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +123,9 @@ def test_export_corpus(tmp_path):
         assert row["expected_gem"] == entry.expected_gem
         parsed = parse_edge_list((dest / row["file"]).read_text())
         assert parsed == entry.graph
+    # The checked-in catalog/ directory is exactly what export_corpus writes.
+    checked_in = Path(__file__).resolve().parent.parent / "catalog"
+    written = sorted(p.name for p in dest.iterdir())
+    assert written == sorted(p.name for p in checked_in.iterdir())
+    for name in written:
+        assert (dest / name).read_bytes() == (checked_in / name).read_bytes(), name

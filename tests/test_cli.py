@@ -132,6 +132,21 @@ def test_equiv_equivalent_relabeled(capsys):
     assert out == "equivalent\n"
 
 
+def test_equiv_stops_at_target_within_budget(capsys):
+    # Graph 30 complemented at vertex 3 is reached before the budget binds.
+    code, out, _ = run(capsys, "equiv", "--graph", "30", "--edges2",
+                       "1 2,2 3,2 4,3 4,4 5,5 6,6 7", "--budget", "2")
+    assert code == 0
+    assert out == "equivalent\n"
+
+
+def test_equiv_budget_error(capsys):
+    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "29",
+                       "--budget", "2")
+    assert code == 1
+    assert "budget" in err
+
+
 def test_gcm_cycle_at_max_vertices_within_budget(capsys):
     edges = ",".join(f"{v} {v % 16 + 1}" for v in range(1, 17))
     start = time.perf_counter()

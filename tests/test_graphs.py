@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from graphent.catalog import all_entries
 from graphent.graphs import (
     Graph,
     OrbitBudgetExceeded,
@@ -162,16 +163,6 @@ def test_orbit_budget_exceeded():
         lc_orbit(g, max_size=2)
 
 
-def test_orbit_records_moves():
-    g = make_graph(3, [(1, 2), (2, 3)])
-    orb = lc_orbit(g, record_moves=True)
-    assert orb.moves is not None
-    for (src, a), dst in orb.moves.items():
-        assert dst == canonical_form(local_complement(src, a))
-        assert src in orb.representatives
-        assert dst in orb.representatives
-
-
 def test_lc_equivalence_path_star():
     # All connected 3-vertex graph states sit in one orbit.
     path3 = make_graph(3, [(1, 2), (2, 3)])
@@ -186,6 +177,28 @@ def test_lc_equivalence_respects_relabeling():
     perm = list(range(1, 6))
     rng.shuffle(perm)
     assert are_lc_equivalent(g, relabel(g, tuple(perm)))
+
+
+def _lc_walk(g, rng, steps):
+    """Random local complementations, then a random relabeling."""
+    for _ in range(steps):
+        g = local_complement(g, rng.randint(1, g.n))
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return relabel(g, tuple(perm))
+
+
+def test_lc_equivalence_separates_catalog_classes():
+    # Catalog graphs are pairwise LC-inequivalent, so a walked copy of
+    # graph j is equivalent to graph i exactly when i == j.
+    entries = [e for e in all_entries() if e.n <= 6]
+    rng = random.Random(11)
+    walked = {e.id: _lc_walk(e.graph, rng, 2 * e.n) for e in entries}
+    for a in entries:
+        for b in entries:
+            if a.n == b.n:
+                got = are_lc_equivalent(a.graph, walked[b.id])
+                assert got == (a.id == b.id), (a.id, b.id)
 
 
 def test_lc_inequivalent_different_n():

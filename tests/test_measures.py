@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from graphent.catalog import all_entries
+from graphent.catalog import all_entries, catalog_get
 from graphent.graphs import MAX_VERTICES, local_complement, make_graph
 from graphent.measures import (
     DegenerateContractionError,
@@ -236,6 +236,15 @@ def test_gem_anchors(graph_args, expected):
     assert 0 <= d.best_restart_index < 64
     assert abs(d.best_fidelity + res.value - 1.0) < 1e-12
     assert 0.0 <= res.value < 1.0
+
+
+def test_gem_best_index_uses_the_tie_tolerance():
+    # Every restart on catalog id 27 under seed 7 ties within 1e-9, so the
+    # lowest index wins, as restarts_at_best counts it.
+    psi = build_graph_state(catalog_get(27).graph)
+    d = gem(psi, GemConfig(seed=7)).diagnostics
+    assert d.restarts_at_best == 64
+    assert d.best_restart_index == 0
 
 
 def test_gem_product_state_is_zero():
