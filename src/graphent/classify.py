@@ -23,7 +23,6 @@ from graphent.catalog import (
     catalog_size,
 )
 from graphent.measures import GemConfig, gcm, gem
-from graphent.states import build_graph_state
 
 DEFAULT_GROUPING_TOL = 1e-4
 
@@ -108,8 +107,7 @@ def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, f
         if kind == "GCM":
             out.append((entry.id, gcm(entry.graph).value))
         else:
-            psi = build_graph_state(entry.graph)
-            out.append((entry.id, gem(psi, cfg or GemConfig()).value))
+            out.append((entry.id, gem(entry.graph, cfg or GemConfig()).value))
     return out
 
 

@@ -131,7 +131,7 @@ def cmd_measure(args, kind: str) -> int:
         result = gcm(g)
         payload = {"measure": "GCM", "value": result.value}
     else:
-        result = gem(build_graph_state(g), _gem_config(args))
+        result = gem(g, _gem_config(args))
         d = result.diagnostics
         payload = {
             "measure": "GEM",

@@ -16,10 +16,14 @@ geometric one is
     1 - max |<phi|psi>|^2
 
 over product states phi, evaluated by alternating (see-saw)
-optimization with random restarts. Two independent oracles bound the
-geometric value: the largest Schmidt coefficient across any single
-bipartition (lower bound, exact for two qubits) and a dense parameter
-grid (upper bound, small systems only).
+optimization with random restarts. No product state beats the top
+Schmidt weight of any cut, so the smallest such weight is a ceiling on
+the fidelity; for a graph it is 2^-(max cut-rank) (the bound
+E >= max cut-rank of Markham, Miyake, Virmani, NJP 9, 194 (2007)). The
+see-saw stops, certified, as soon as it reaches that ceiling. Two
+independent oracles bound the geometric value: the largest Schmidt
+coefficient across any single bipartition (lower bound, exact for two
+qubits) and a dense parameter grid (upper bound, small systems only).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from graphent.reductions import (
     cut_rank_histogram,
     subset_purity,
 )
-from graphent.states import num_qubits
+from graphent.states import build_graph_state, num_qubits
 
 _TIE_TOL = 1e-9
 _DEGENERATE_NORM = 1e-15
@@ -88,6 +92,9 @@ class GemConfig:
 
 @dataclass(frozen=True)
 class GemDiagnostics:
+    """Work and outcome of one gem call. restart_sweeps sums, over the
+    sweeps, the restarts still active in each."""
+
     restarts_used: int
     best_restart_index: int
     iterations: int
@@ -95,12 +102,14 @@ class GemDiagnostics:
     best_fidelity: float
     degenerate_redraws: int
     restarts_at_best: int
+    restart_sweeps: int
 
 
 @dataclass(frozen=True)
 class MeasureResult:
     """A measure value and the path that produced it: "cut-rank" or
-    "statevector" for GCM, "see-saw" for GEM."""
+    "statevector" for GCM; for GEM "certified" when the see-saw reached
+    the Schmidt ceiling, else "see-saw"."""
 
     kind: str
     value: float
@@ -168,20 +177,39 @@ def product_fidelity(state: np.ndarray, phi: ProductState) -> float:
     return float(abs(np.vdot(product_state_vector(phi), s)) ** 2)
 
 
-def _batched_environment(psi_t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
-    """Contraction of the state against every factor except k, for all
-    restarts at once; factors is (R, n, 2) and the result (R, 2).
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a @ b. Blocks of more than 2^13 entries go through einsum:
+    numpy hands them to threaded BLAS, which stalls whenever another
+    process holds a core (on a 2-vCPU VM the 16-cycle took 14-19 s
+    instead of 0.6 s), while einsum never starts threads."""
+    if max(a[0].size, b[0].size) <= 2**13:
+        return a @ b
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _environments(psi_t: np.ndarray, factors: np.ndarray, start: int = 0):
+    """Yield, for k = start..n-1, the contraction of the state with every
+    factor except k, for all restarts at once; factors is (R, n, 2) and
+    each result (R, 2).
 
     The optimal factor k is each row normalized, and the fidelity it
-    achieves is the row's squared norm.
+    achieves is the row's squared norm. The caller may overwrite
+    factors[:, k] before asking for the next result, which then uses it.
+    One right-to-left pass caches the state contracted with the factors
+    after each k, and the factors before k enter as a running left
+    product, so a whole sweep costs about 3n batched contractions.
     """
-    n = psi_t.ndim
-    r = factors.shape[0]
-    t = np.moveaxis(psi_t, k, n - 1).reshape(1, -1)
-    t = np.broadcast_to(t, (r, t.shape[1]))
-    for j in [j for j in range(n) if j != k]:
-        t = np.einsum("ra,rab->rb", np.conj(factors[:, j]), t.reshape(r, 2, -1))
-    return t
+    r, n = factors.shape[:2]
+    right = [psi_t.reshape(1, -1, 2)]
+    for k in range(n - 1, start, -1):
+        right.append(_bmm(right[-1], np.conj(factors[:, k, :, None])).reshape(r, -1, 2))
+    left = np.ones((r, 1, 1), dtype=complex)
+    for k in range(n):
+        if k >= start:
+            yield _bmm(left, right[n - 1 - k]).reshape(r, 2)
+        if k + 1 < n:
+            f = np.conj(factors[:, k, None, :])
+            left = _bmm(left.reshape(r, -1, 1), f).reshape(r, 1, -1)
 
 
 def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
@@ -196,8 +224,8 @@ def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
         raise ValueError(f"state has {n} qubits but product state has {phi.n}")
     if not 1 <= k <= n:
         raise ValueError(f"qubit {k} out of range for n={n}")
-    psi_t = _normalized(state).reshape((2,) * n)
-    env = _batched_environment(psi_t, np.stack(phi.factors)[None], k - 1)[0]
+    psi_t = _normalized(state)
+    env = next(_environments(psi_t, np.stack(phi.factors)[None], k - 1))[0]
     norm = np.linalg.norm(env)
     if norm < _DEGENERATE_NORM:
         raise DegenerateContractionError(
@@ -216,55 +244,96 @@ def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarr
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def gem(state: np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
+def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
+    """Top Schmidt weight of the most entangled cut: no product state's
+    fidelity exceeds it. For a graph it is 2^-(max cut-rank)."""
+    if isinstance(state, Graph):
+        return 0.5 ** (cut_rank_histogram(state).size - 1)
+    n = num_qubits(state)
+    cuts = (c for r in range(1, n // 2 + 1)
+            for c in itertools.combinations(range(1, n + 1), r))
+    return 1.0 - max((gem_bipartite_oracle(state, c) for c in cuts), default=0.0)
+
+
+def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
     """Geometric measure by see-saw over random product-state restarts.
 
-    Each restart's starting factors come from a dedicated stream keyed
-    by (seed, restart index), sweeps update qubits 1..n cyclically, and
-    the winner is the highest final fidelity with ties (within _TIE_TOL,
-    the restarts that restarts_at_best counts) broken toward the lowest
-    restart index. The result is reproducible for a fixed
+    A Graph stands for its graph state |G>. Each restart's starting
+    factors come from a dedicated stream keyed by (seed, restart index),
+    and sweeps update qubits 1..n cyclically. The sweeps stop for one of
+    three reasons:
+
+    - certified: the best fidelity is within the tolerance of the
+      ceiling, the smallest top Schmidt weight over all cuts, so no
+      product state does better. For a Graph the ceiling is
+      2^-(max cut-rank); for a statevector it is taken over the cuts of
+      at most n/2 qubits, one at a time.
+    - converged: every restart converged on its own. From sweep 2 on, a
+      restart whose fidelity moved less than the tolerance is frozen,
+      keeps its factors and fidelity, and leaves the active batch.
+    - max_iterations ran out with restarts still active; this is the
+      only case with converged=False.
+
+    The winner is the highest final fidelity with ties (within
+    _TIE_TOL, the restarts that restarts_at_best counts) broken toward
+    the lowest restart index. The result is reproducible for a fixed
     config and is an upper bound on the true measure.
     """
     cfg = cfg or GemConfig()
+    ceiling = _fidelity_ceiling(state)
+    if isinstance(state, Graph):
+        state = build_graph_state(state)
     n = num_qubits(state)
-    s = _normalized(state)
-    psi_t = s.reshape((2,) * n)
+    psi_t = _normalized(state)
     r = cfg.restarts
 
     factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])
     attempts = np.zeros(r, dtype=int)
     fidelities = np.zeros(r)
+    active = np.arange(r)
     degenerate_redraws = 0
+    restart_sweeps = 0
     iterations = 0
-    converged = False
+    method = "see-saw"
 
     for iterations in range(1, cfg.max_iterations + 1):
-        previous = fidelities.copy()
+        restart_sweeps += active.size
+        work = factors[active]
+        envs = _environments(psi_t, work)
         for k in range(n):
-            env = _batched_environment(psi_t, factors, k)
+            env = next(envs)
             norms = np.linalg.norm(env, axis=1)
-            bad = norms < _DEGENERATE_NORM
-            for i in np.flatnonzero(bad):
+            redrawn = False
+            for j in np.flatnonzero(norms < _DEGENERATE_NORM):
                 # Measure-zero start; redraw this restart from its own
                 # continuation stream rather than emitting NaN.
+                i = active[j]
                 if attempts[i] < _MAX_REDRAWS:
                     attempts[i] += 1
                     degenerate_redraws += 1
-                    factors[i] = _draw_factors(cfg.seed, int(i), n, int(attempts[i]))
-                    env[i] = _batched_environment(
-                        psi_t, factors[i : i + 1], k
-                    )[0]
-                    norms[i] = np.linalg.norm(env[i])
+                    work[j] = _draw_factors(cfg.seed, int(i), n, int(attempts[i]))
+                    redrawn = True
+            if redrawn:
+                envs = _environments(psi_t, work, k)
+                env = next(envs)
+                norms = np.linalg.norm(env, axis=1)
             still_bad = norms < _DEGENERATE_NORM
             safe = np.where(still_bad, 1.0, norms)
-            factors[:, k] = env / safe[:, None]
-            factors[still_bad, k] = np.array([1.0, 0.0], dtype=complex)
-            fidelities = np.where(still_bad, 0.0, norms**2)
-        if np.max(np.abs(fidelities - previous)) < cfg.tolerance and iterations > 1:
-            converged = True
+            work[:, k] = env / safe[:, None]
+            work[still_bad, k] = np.array([1.0, 0.0], dtype=complex)
+        factors[active] = work
+        swept = np.where(still_bad, 0.0, norms**2)
+        settled = np.abs(swept - fidelities[active]) < cfg.tolerance
+        fidelities[active] = swept
+        if np.max(fidelities) >= ceiling - cfg.tolerance:
+            method = "certified"
             break
+        if iterations > 1:
+            active = active[~settled]
+            if active.size == 0:
+                break
 
+    converged = method == "certified" or active.size == 0
     fidelities = np.clip(fidelities, 0.0, 1.0)
     best_fid = float(np.max(fidelities))
     best_index = int(np.flatnonzero(fidelities >= best_fid - _TIE_TOL)[0])
@@ -277,8 +346,9 @@ def gem(state: np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
         best_fidelity=best_fid,
         degenerate_redraws=degenerate_redraws,
         restarts_at_best=at_best,
+        restart_sweeps=restart_sweeps,
     )
-    return MeasureResult(kind="GEM", value=1.0 - best_fid, method="see-saw",
+    return MeasureResult(kind="GEM", value=1.0 - best_fid, method=method,
                          diagnostics=diag)
 
 

@@ -156,6 +156,16 @@ def test_gcm_cycle_at_max_vertices_within_budget(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_gem_cycle_at_max_vertices_within_budget(capsys):
+    # Certified at the cut-rank ceiling 2^-8 after a few sweeps.
+    edges = ",".join(f"{v} {v % 16 + 1}" for v in range(1, 17))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gem", "--edges", edges)
+    assert code == 0
+    assert out == "GEM = 0.99609\n"
+    assert time.perf_counter() - start < 5.0
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text(serialize_edge_list(catalog_get(4).graph))

@@ -1,5 +1,6 @@
 """Measure tests: closed-form values, see-saw behavior, oracles."""
 
+import itertools
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphent.measures import (
     DegenerateContractionError,
     GemConfig,
     ProductState,
+    _fidelity_ceiling,
     brute_force_gem,
     gcm,
     gem,
@@ -73,26 +75,30 @@ def test_gcm_graph_path_matches_statevector_path_on_catalog():
         assert by_graph.value == pytest.approx(by_state.value, abs=1e-12), e.id
 
 
-def test_gcm_graph_path_matches_statevector_path_on_random_graphs():
+def _for_random_graphs(check, max_n: int) -> None:
+    """Run check on 60 derandomized hypothesis graphs with 2 <= n <= max_n."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def graphs(draw):
-        n = draw(st.integers(2, 10))
+        n = draw(st.integers(2, max_n))
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         return make_graph(n, [p for p, k in zip(pairs, keep) if k])
 
-    @hypothesis.settings(max_examples=60, deadline=None, database=None,
-                         derandomize=True)
-    @hypothesis.given(graphs())
+    settings = hypothesis.settings(max_examples=60, deadline=None, database=None,
+                                   derandomize=True)
+    settings(hypothesis.given(graphs())(check))()
+
+
+def test_gcm_graph_path_matches_statevector_path_on_random_graphs():
     def check(g):
         assert gcm(g).value == pytest.approx(
             gcm(build_graph_state(g)).value, abs=1e-12
         )
 
-    check()
+    _for_random_graphs(check, 10)
 
 
 def test_gcm_graph_path_star_and_complete_at_max_vertices():
@@ -239,12 +245,71 @@ def test_gem_anchors(graph_args, expected):
 
 
 def test_gem_best_index_uses_the_tie_tolerance():
-    # Every restart on catalog id 27 under seed 7 ties within 1e-9, so the
-    # lowest index wins, as restarts_at_best counts it.
-    psi = build_graph_state(catalog_get(27).graph)
-    d = gem(psi, GemConfig(seed=7)).diagnostics
-    assert d.restarts_at_best == 64
+    # On catalog id 6 under seed 0, 16 restarts tie within 1e-9 of the best
+    # fidelity. The highest is restart 21, and restart 14 is the lowest
+    # within 1e-15 of it, but the lowest index of the tie, 0, wins.
+    d = gem(catalog_get(6).graph, GemConfig(seed=0)).diagnostics
+    assert d.restarts_at_best == 16
     assert d.best_restart_index == 0
+
+
+def _max_cut_rank_ceiling_matches_oracle(g) -> None:
+    psi = build_graph_state(g)
+    by_oracle = 1.0 - max(
+        gem_bipartite_oracle(psi, cut)
+        for r in range(1, g.n // 2 + 1)
+        for cut in itertools.combinations(range(1, g.n + 1), r)
+    )
+    assert _fidelity_ceiling(g) == pytest.approx(by_oracle, abs=1e-12)
+    assert _fidelity_ceiling(psi) == pytest.approx(by_oracle, abs=1e-12)
+
+
+def test_fidelity_ceiling_matches_schmidt_oracle_on_catalog():
+    for e in all_entries():
+        _max_cut_rank_ceiling_matches_oracle(e.graph)
+
+
+def test_fidelity_ceiling_matches_schmidt_oracle_on_random_graphs():
+    _for_random_graphs(_max_cut_rank_ceiling_matches_oracle, 8)
+
+
+def test_gem_graph_path_matches_statevector_path_on_catalog():
+    for e in all_entries():
+        by_graph = gem(e.graph)
+        by_state = gem(build_graph_state(e.graph))
+        assert by_graph.value == pytest.approx(by_state.value, abs=1e-12), e.id
+
+
+def test_gem_certifies_every_id_at_the_cut_rank_bound():
+    certifiable = [e for e in all_entries()
+                   if abs(e.expected_gem - (1.0 - _fidelity_ceiling(e.graph))) < 1e-5]
+    assert len(certifiable) == 37
+    for e in certifiable:
+        res = gem(e.graph, GemConfig(seed=0))
+        assert res.method == "certified", e.id
+        assert res.diagnostics.converged, e.id
+        assert res.diagnostics.iterations <= 10, e.id
+
+
+def test_gem_reports_its_method_and_stop_reason():
+    path = make_graph(3, [(1, 2), (2, 3)])
+    res = gem(path, GemConfig(restarts=8))
+    assert res.method == "certified"
+    assert res.diagnostics.converged
+    # The 5-cycle's geometric measure, 0.86855, lies above the cut-rank
+    # bound 1 - 2^-2, so no ceiling stops it.
+    c5 = catalog_get(8).graph
+    res = gem(c5, GemConfig(restarts=8))
+    d = res.diagnostics
+    assert res.method == "see-saw"
+    assert d.converged
+    assert res.value == pytest.approx(0.86855, abs=5e-6)
+    # Every restart sweeps at least twice; frozen ones stop counting.
+    assert 2 * 8 <= d.restart_sweeps < d.iterations * 8
+    capped = gem(c5, GemConfig(restarts=8, max_iterations=3)).diagnostics
+    assert not capped.converged
+    assert capped.iterations == 3
+    assert capped.restart_sweeps == 24
 
 
 def test_gem_product_state_is_zero():
@@ -329,8 +394,6 @@ def test_bipartite_oracle_lower_bounds_gem():
         psi = build_graph_state(make_graph(n, edges))
         val = gem(psi, GemConfig(restarts=48, seed=0)).value
         for r in range(1, n // 2 + 1):
-            import itertools
-
             for cut in itertools.combinations(range(1, n + 1), r):
                 assert gem_bipartite_oracle(psi, cut) <= val + 1e-9
 
@@ -364,3 +427,28 @@ def test_gem_value_bounds_random_states():
         res = gem(psi, GemConfig(restarts=24, seed=5))
         assert 0.0 <= res.value < 1.0
         assert abs(res.diagnostics.best_fidelity + res.value - 1.0) < 1e-12
+
+
+def test_gem_redraws_a_degenerate_start(monkeypatch):
+    # Restart 0 starts at |0>|1>|0>, orthogonal to both GHZ branches, so its
+    # first contraction vanishes and it is redrawn from its own stream. It
+    # then runs exactly as if it had started from the redrawn factors.
+    from graphent import measures
+
+    draw = measures._draw_factors
+    cfg = GemConfig(restarts=1, seed=0)
+
+    def degenerate_first(seed, restart, n, attempt=0):
+        if attempt == 0:
+            return np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+        return draw(seed, restart, n, attempt)
+
+    monkeypatch.setattr(measures, "_draw_factors", degenerate_first)
+    redrawn = gem(ghz(3), cfg)
+    monkeypatch.setattr(measures, "_draw_factors",
+                        lambda seed, restart, n, attempt=0: draw(seed, restart, n, 1))
+    direct = gem(ghz(3), cfg)
+    assert redrawn.diagnostics.degenerate_redraws == 1
+    assert redrawn.value == direct.value
+    assert redrawn.value == pytest.approx(0.5, abs=1e-12)
+    assert redrawn.diagnostics.iterations == direct.diagnostics.iterations
