@@ -187,8 +187,8 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...jk->...ik", a, b)
 
 
-def _environments(psi_t: np.ndarray, factors: np.ndarray, start: int = 0):
-    """Yield, for k = start..n-1, the contraction of the state with every
+def _environments(psi: np.ndarray, factors: np.ndarray, start: int = 0):
+    """Yield, for k = start..n-1, the contraction of the state psi with every
     factor except k, for all restarts at once; factors is (R, n, 2) and
     each result (R, 2).
 
@@ -200,7 +200,7 @@ def _environments(psi_t: np.ndarray, factors: np.ndarray, start: int = 0):
     product, so a whole sweep costs about 3n batched contractions.
     """
     r, n = factors.shape[:2]
-    right = [psi_t.reshape(1, -1, 2)]
+    right = [psi.reshape(1, -1, 2)]
     for k in range(n - 1, start, -1):
         right.append(_bmm(right[-1], np.conj(factors[:, k, :, None])).reshape(r, -1, 2))
     left = np.ones((r, 1, 1), dtype=complex)
@@ -224,8 +224,7 @@ def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
         raise ValueError(f"state has {n} qubits but product state has {phi.n}")
     if not 1 <= k <= n:
         raise ValueError(f"qubit {k} out of range for n={n}")
-    psi_t = _normalized(state)
-    env = next(_environments(psi_t, np.stack(phi.factors)[None], k - 1))[0]
+    env = next(_environments(_normalized(state), np.stack(phi.factors)[None], k - 1))[0]
     norm = np.linalg.norm(env)
     if norm < _DEGENERATE_NORM:
         raise DegenerateContractionError(
@@ -284,7 +283,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     if isinstance(state, Graph):
         state = build_graph_state(state)
     n = num_qubits(state)
-    psi_t = _normalized(state)
+    psi = _normalized(state)
     r = cfg.restarts
 
     factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])
@@ -299,7 +298,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     for iterations in range(1, cfg.max_iterations + 1):
         restart_sweeps += active.size
         work = factors[active]
-        envs = _environments(psi_t, work)
+        envs = _environments(psi, work)
         for k in range(n):
             env = next(envs)
             norms = np.linalg.norm(env, axis=1)
@@ -314,7 +313,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
                     work[j] = _draw_factors(cfg.seed, int(i), n, int(attempts[i]))
                     redrawn = True
             if redrawn:
-                envs = _environments(psi_t, work, k)
+                envs = _environments(psi, work, k)
                 env = next(envs)
                 norms = np.linalg.norm(env, axis=1)
             still_bad = norms < _DEGENERATE_NORM
