@@ -265,7 +265,8 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
       ceiling, the smallest top Schmidt weight over all cuts, so no
       product state does better. For a Graph the ceiling is
       2^-(max cut-rank); for a statevector it is taken over the cuts of
-      at most n/2 qubits, one at a time.
+      at most n/2 qubits, one at a time, which costs about 5x more per
+      qubit (0.5 s at n = 12, 8 s at n = 14) before any sweep.
     - converged: every restart converged on its own. From sweep 2 on, a
       restart whose fidelity moved less than the tolerance is frozen,
       keeps its factors and fidelity, and leaves the active batch.
