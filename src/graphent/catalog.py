@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from graphent.graphs import Graph, make_graph
-
-# classes per vertex count among the 45 representatives
-CANONICAL_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26}
 
 # id: (n, edges, reference gcm, reference gem)
 _TABLE = {
@@ -72,6 +70,9 @@ _TABLE = {
     45: (7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7), (2, 7), (2, 5),
              (4, 6)), 1.75000, 0.93428),
 }
+
+# classes per vertex count: the catalog holds one representative per class
+CANONICAL_CLASS_COUNTS = dict(Counter(n for n, *_ in _TABLE.values()))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ from graphent.catalog import (
     CANONICAL_CLASS_COUNTS,
     all_entries,
     catalog_size,
+    ids_with_n,
 )
 from graphent.measures import GemConfig, gcm, gem
 
 DEFAULT_GROUPING_TOL = 1e-4
+_CUMULATIVE_LABEL = f"up to {max(CANONICAL_CLASS_COUNTS)}"
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,8 @@ def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, f
     kind = kind.upper()
     if kind not in ("GCM", "GEM"):
         raise ValueError(f"unknown measure kind {kind!r}")
-    out = []
-    for entry in all_entries():
-        if kind == "GCM":
-            out.append((entry.id, gcm(entry.graph).value))
-        else:
-            out.append((entry.id, gem(entry.graph, cfg or GemConfig()).value))
-    return out
+    measure = gcm if kind == "GCM" else lambda g: gem(g, cfg)
+    return [(e.id, measure(e.graph).value) for e in all_entries()]
 
 
 def build_report(kind: str, cfg: GemConfig | None = None,
@@ -124,12 +121,9 @@ def build_report(kind: str, cfg: GemConfig | None = None,
     by_id = dict(values)
     if set(by_id) != {e.id for e in all_entries()}:
         raise ValueError("values must cover exactly the catalog ids")
-    n_of = {e.id: e.n for e in all_entries()}
     per_n = []
-    for n in sorted(CANONICAL_CLASS_COUNTS):
-        subset = [(g, v) for g, v in values if n_of[g] == n]
-        eta = len(group_by_value(subset, tol))
-        kappa = CANONICAL_CLASS_COUNTS[n]
+    for n, kappa in sorted(CANONICAL_CLASS_COUNTS.items()):
+        eta = len(group_by_value([(g, by_id[g]) for g in ids_with_n(n)], tol))
         per_n.append(RpEntry(n, eta, kappa, resolution_power(eta, kappa)))
     classes = tuple(group_by_value(values, tol))
     eta_all = len(classes)
@@ -183,7 +177,7 @@ def render_report_text(report: ClassificationReport) -> str:
         )
     c = report.cumulative
     lines.append(
-        f"{'up to 7':>8}  {c.eta_measure:>7}  {c.eta_kappa:>9}  "
+        f"{_CUMULATIVE_LABEL:>8}  {c.eta_measure:>7}  {c.eta_kappa:>9}  "
         f"{c.rp:.2f} ({rp_fraction(c.eta_measure, c.eta_kappa)})"
     )
     return "\n".join(lines) + "\n"
@@ -247,7 +241,7 @@ def render_rp_table_text(table: dict) -> str:
 
     for row in table["per_n"]:
         lines.append(fmt(row, str(row["n"])))
-    lines.append(fmt(table["cumulative"], "up to 7"))
+    lines.append(fmt(table["cumulative"], _CUMULATIVE_LABEL))
     return "\n".join(lines) + "\n"
 
 

@@ -15,12 +15,14 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from graphent.catalog import (
     all_entries,
     catalog_get,
+    catalog_size,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -96,14 +98,9 @@ def _json_text(obj) -> str:
 
 
 def _gem_config(args) -> GemConfig:
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "gem_tol", None) is not None:
-        kwargs["tolerance"] = args.gem_tol
-    return GemConfig(**kwargs)
+    flags = {"restarts": "restarts", "seed": "seed", "tolerance": "gem_tol"}
+    return GemConfig(**{field: getattr(args, flag) for field, flag in flags.items()
+                        if getattr(args, flag, None) is not None})
 
 
 def cmd_state(args) -> int:
@@ -132,20 +129,9 @@ def cmd_measure(args, kind: str) -> int:
         payload = {"measure": "GCM", "value": result.value}
     else:
         result = gem(g, _gem_config(args))
-        d = result.diagnostics
-        payload = {
-            "measure": "GEM",
-            "value": result.value,
-            "diagnostics": {
-                "restarts_used": d.restarts_used,
-                "best_restart_index": d.best_restart_index,
-                "iterations": d.iterations,
-                "converged": d.converged,
-                "best_fidelity": d.best_fidelity,
-                "degenerate_redraws": d.degenerate_redraws,
-                "restarts_at_best": d.restarts_at_best,
-            },
-        }
+        diagnostics = dataclasses.asdict(result.diagnostics)
+        del diagnostics["restart_sweeps"]
+        payload = {"measure": "GEM", "value": result.value, "diagnostics": diagnostics}
     if args.format == "json":
         _emit(_json_text(payload), args.out)
     else:
@@ -212,18 +198,20 @@ def cmd_rp_table(args) -> int:
 
 def cmd_verify_catalog(args) -> int:
     entries = all_entries()
+    pairs = len(entries) * (len(entries) - 1) // 2
     checks = []
 
     connected = [e.id for e in entries if not is_connected(e.graph)]
     checks.append(("connected", not connected,
-                   "45/45" if not connected else f"disconnected ids: {connected}"))
+                   f"disconnected ids: {connected}" if connected
+                   else f"{len(entries)}/{len(entries)}"))
 
     forms = {}
     for e in entries:
         forms.setdefault(canonical_form(e.graph), []).append(e.id)
     dupes = [ids for ids in forms.values() if len(ids) > 1]
     checks.append(("pairwise-non-isomorphic", not dupes,
-                   "990/990 pairs distinct" if not dupes else f"isomorphic: {dupes}"))
+                   f"isomorphic: {dupes}" if dupes else f"{pairs}/{pairs} pairs distinct"))
 
     worst_stab = worst_lc = 0.0
     for e in entries:
@@ -253,7 +241,7 @@ def cmd_verify_catalog(args) -> int:
                 else:
                     owner[form] = e.id
         ok = not clash and not budget_hit
-        detail = "990/990 pairs disjoint"
+        detail = f"{pairs}/{pairs} pairs disjoint"
         if clash:
             detail = f"shared orbits: {sorted(set(clash))}"
         if budget_hit:
@@ -287,7 +275,7 @@ def cmd_verify_catalog(args) -> int:
 def _add_source_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
     tag = " (second graph)" if suffix else ""
     p.add_argument(f"--graph{suffix}", type=int, metavar="N",
-                   help=f"catalog graph id 1..45{tag}")
+                   help=f"catalog graph id 1..{catalog_size()}{tag}")
     p.add_argument(f"--edges{suffix}", type=str, metavar="STR",
                    help=f'inline edges like "1 2,1 3"{tag}')
     p.add_argument(f"--file{suffix}", type=str, metavar="PATH",
@@ -371,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rp_table)
 
     p = sub.add_parser("verify-catalog", help="catalog integrity checks")
+    pairs = catalog_size() * (catalog_size() - 1) // 2
     p.add_argument("--lc-pairwise", action="store_true",
-                   help="also check all 990 orbit pairs are disjoint")
+                   help=f"also check all {pairs} orbit pairs are disjoint")
     p.add_argument("--budget", type=int, default=10**6, metavar="B",
                    help="orbit size budget per catalog graph for --lc-pairwise "
                         "(default 1e6)")

@@ -160,19 +160,6 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(deg))
 
 
-def _neighbor_degree_profile(g: Graph) -> tuple:
-    # Multiset, over vertices, of (degree, sorted neighbor degrees).
-    deg = [0] * (g.n + 1)
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    profile = []
-    for v in range(1, g.n + 1):
-        nbd = tuple(sorted(deg[w] for w in neighbors(g, v)))
-        profile.append((deg[v], nbd))
-    return tuple(sorted(profile))
-
-
 @lru_cache(maxsize=8)
 def _perm_array(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -249,8 +236,6 @@ def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     relabel(g1, perm) == g2 holds whenever a witness is found.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return None
-    if _neighbor_degree_profile(g1) != _neighbor_degree_profile(g2):
         return None
     c1, p1 = _canonical_with_perm(g1)
     c2, p2 = _canonical_with_perm(g2)

@@ -3,15 +3,16 @@
 Two measures are provided. The closed-form one (GCM) aggregates the
 purities of every nonempty proper subsystem:
 
-    2^(1 - n/2) * sqrt(2^n - 2 - sum_A Tr rho_A^2)
+    2^(1 - n/2) * sqrt(2^n - 2 - 2 sum_A Tr rho_A^2)
 
-with A running over all 2^n - 2 subsystems, both halves of each
-bipartition counted. It takes either input. For a Graph, every purity
-is exact and combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank
-taken over GF(2), so no statevector is built ("cut-rank" path). For a
-statevector, such as a graph state after arbitrary local unitaries,
-each purity comes from a reduced Gram matrix ("statevector" path). The
-geometric one is
+with A running over one side of each of the 2^(n-1) - 1 bipartitions
+(both sides have the same purity). It takes either input, of at most
+MAX_VERTICES qubits. For a Graph, every purity is exact and
+combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank taken over
+GF(2), so no statevector is built ("cut-rank" path). For a statevector,
+such as a graph state after arbitrary local unitaries, each purity
+comes from a reduced Gram matrix ("statevector" path). The geometric
+one is
 
     1 - max |<phi|psi>|^2
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import Graph
+from graphent.graphs import MAX_VERTICES, Graph
 from graphent.reductions import (
     _smaller_gram,
     _split_matrix,
@@ -125,36 +126,46 @@ def _normalized(state: np.ndarray) -> np.ndarray:
     return s / norm
 
 
+def _qubit_count(state: Graph | np.ndarray) -> int:
+    """Qubits of a Graph or statevector; gcm and gem refuse past MAX_VERTICES."""
+    n = state.n if isinstance(state, Graph) else num_qubits(state)
+    if n > MAX_VERTICES:
+        raise ValueError(f"at most MAX_VERTICES = {MAX_VERTICES} qubits, got {n}")
+    return n
+
+
+def _cuts(n: int):
+    """Each bipartition of qubits 1..n once, as its smaller side (of an
+    exact half, the side holding qubit 1): both sides share their purity
+    and Schmidt weights."""
+    for r in range(1, n // 2 + 1):
+        for c in itertools.combinations(range(1, n + 1), r):
+            if 2 * r < n or c[0] == 1:
+                yield c
+
+
 def gcm(state: Graph | np.ndarray) -> MeasureResult:
     """Closed-form measure from all subsystem purities. Deterministic.
 
     A Graph stands for its graph state |G>. Its purities are 2^-k summed
     over the cut-rank histogram; each term is a dyadic rational, so the
     sum is exact and independent of order. A statevector is reduced
-    explicitly, only on subsystems up to half the qubits: each purity
-    equals its complement's, so smaller-than-half layers count twice and
-    the exact-half layer (even n) once.
+    explicitly, once per bipartition (_cuts): a subsystem and its
+    complement have equal purity.
     """
-    is_graph = isinstance(state, Graph)
-    n = state.n if is_graph else num_qubits(state)
+    n = _qubit_count(state)
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
-    if is_graph:
+    if isinstance(state, Graph):
         counts = cut_rank_histogram(state)
-        total = 2.0 * float(counts @ 0.5 ** np.arange(counts.size))
-        return _gcm_result(n, total, "cut-rank")
+        return _gcm_result(n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
     s = _normalized(state)
-    total = 0.0
-    for r in range(1, n // 2 + 1):
-        weight = 1.0 if 2 * r == n else 2.0
-        for keep in itertools.combinations(range(1, n + 1), r):
-            total += weight * subset_purity(s, keep)
-    return _gcm_result(n, total, "statevector")
+    return _gcm_result(n, sum(subset_purity(s, c) for c in _cuts(n)), "statevector")
 
 
 def _gcm_result(n: int, purity_sum: float, method: str) -> MeasureResult:
-    """2^(1 - n/2) sqrt(2^n - 2 - purity_sum) over all 2^n - 2 subsystems."""
-    radicand = 2**n - 2 - purity_sum
+    """2^(1 - n/2) sqrt(2^n - 2 - 2 purity_sum), summed over bipartitions."""
+    radicand = 2**n - 2 - 2.0 * purity_sum
     if radicand < -1e-10:
         raise ValueError(f"purity sum exceeds bound by {-radicand}")
     value = 2.0 ** (1.0 - n / 2.0) * np.sqrt(max(radicand, 0.0))
@@ -244,12 +255,7 @@ def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
     fidelity exceeds it. For a graph it is 2^-(max cut-rank)."""
     if isinstance(state, Graph):
         return 0.5 ** (cut_rank_histogram(state).size - 1)
-    n = num_qubits(state)
-    # A cut and its complement share their Schmidt weights, so of the
-    # exact-half cuts (even n) only those holding qubit 1 are taken.
-    cuts = (c for r in range(1, n // 2 + 1)
-            for c in itertools.combinations(range(1, n + 1), r)
-            if 2 * r < n or c[0] == 1)
+    cuts = _cuts(num_qubits(state))
     return 1.0 - max((gem_bipartite_oracle(state, c) for c in cuts), default=0.0)
 
 
@@ -279,10 +285,10 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     config and is an upper bound on the true measure.
     """
     cfg = cfg or GemConfig()
+    n = _qubit_count(state)
     ceiling = _fidelity_ceiling(state)
     if isinstance(state, Graph):
         state = build_graph_state(state)
-    n = num_qubits(state)
     psi = _normalized(state)
     r = cfg.restarts
 

@@ -72,10 +72,10 @@ def test_gem_json_diagnostics(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["measure"] == "GEM"
-    assert set(payload["diagnostics"]) == {
+    assert list(payload["diagnostics"]) == [
         "restarts_used", "best_restart_index", "iterations", "converged",
         "best_fidelity", "degenerate_redraws", "restarts_at_best",
-    }
+    ]
     assert payload["diagnostics"]["restarts_used"] == 8
 
 
@@ -225,6 +225,12 @@ def test_verify_catalog(capsys):
     assert code == 0
     assert "catalog OK" in out
     assert out.count("PASS") == 4
+    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--format", "json")
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert details["connected"] == "45/45"
+    assert details["pairwise-non-isomorphic"] == "990/990 pairs distinct"
+    assert details["lc-pairwise"] == "990/990 pairs disjoint"
 
 
 def test_verify_catalog_budget_exceeded(capsys):

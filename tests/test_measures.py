@@ -22,6 +22,7 @@ from graphent.measures import (
     product_state_vector,
     see_saw_step,
 )
+from graphent.reductions import subset_purity
 from graphent.states import apply_local_unitary, build_graph_state, plus_state
 
 from test_states import ket, random_unitary
@@ -116,6 +117,33 @@ def test_gcm_reports_its_method():
     g = make_graph(3, [(1, 2), (2, 3)])
     assert gcm(g).method == "cut-rank"
     assert gcm(build_graph_state(g)).method == "statevector"
+
+
+def test_gcm_statevector_reduces_each_bipartition_once(monkeypatch):
+    calls = []
+
+    def counting(state, keep):
+        calls.append(frozenset(keep))
+        return subset_purity(state, keep)
+
+    monkeypatch.setattr("graphent.measures.subset_purity", counting)
+    for n in (6, 7):
+        calls.clear()
+        psi = build_graph_state(make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)]))
+        gcm(psi)
+        everyone = frozenset(range(1, n + 1))
+        assert len(calls) == 2 ** (n - 1) - 1
+        assert len({frozenset((c, everyone - c)) for c in calls}) == len(calls)
+
+
+def test_gcm_and_gem_fail_fast_past_max_vertices():
+    n = MAX_VERTICES + 1
+    psi = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
+    for measure in (gcm, gem):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_VERTICES"):
+            measure(psi)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_gcm_plus_state_is_zero():
