@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -296,7 +297,10 @@ def _add_gem_flags(p: argparse.ArgumentParser) -> None:
                    help="restart stream seed (default 0)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The graphent argument parser, built once per process: parsing
+    leaves it unchanged, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="graphent",
         description="Graph states, entanglement measures, and LC orbits.",

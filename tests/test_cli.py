@@ -141,10 +141,29 @@ def test_equiv_stops_at_target_within_budget(capsys):
 
 
 def test_equiv_budget_error(capsys):
-    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "29",
+    # 30 and 36 have equal cut-rank histograms, so only the search can
+    # tell them apart, and the budget binds first.
+    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "36",
                        "--budget", "2")
     assert code == 1
     assert "budget" in err
+
+
+def test_equiv_cut_rank_reject_needs_no_budget(capsys):
+    # 30 and 29 differ in cut-rank histogram, an LC invariant.
+    code, out, _ = run(capsys, "equiv", "--graph", "30", "--graph2", "29",
+                       "--budget", "2")
+    assert code == 0
+    assert out == "inequivalent\n"
+
+
+def test_orbit_c10_within_budget(capsys):
+    edges = ",".join(f"{v} {v % 10 + 1}" for v in range(1, 11))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "orbit", "--edges", edges, "--budget", "1206")
+    assert code == 0
+    assert out.splitlines()[0] == "orbit size: 1206"
+    assert time.perf_counter() - start < 10.0
 
 
 def test_gcm_cycle_at_max_vertices_within_budget(capsys):
@@ -164,6 +183,18 @@ def test_gem_cycle_at_max_vertices_within_budget(capsys):
     assert code == 0
     assert out == "GEM = 0.99609\n"
     assert time.perf_counter() - start < 5.0
+
+
+def test_consecutive_calls_do_not_share_flags(capsys):
+    # The parser is built once per process; each call parses afresh.
+    seeded = run(capsys, "gem", "--graph", "40", "--restarts", "8", "--seed", "3",
+                 "--format", "json")
+    assert run(capsys, "gcm", "--graph", "2") == (0, "GCM = 1.22474\n", "")
+    default = run(capsys, "gem", "--graph", "40", "--restarts", "8",
+                  "--format", "json")
+    explicit = run(capsys, "gem", "--graph", "40", "--restarts", "8", "--seed", "0",
+                   "--format", "json")
+    assert default == explicit != seeded
 
 
 def test_file_input(tmp_path, capsys):

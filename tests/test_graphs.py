@@ -1,8 +1,11 @@
 """Graph construction, isomorphism, and LC-orbit tests."""
 
+import functools
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from graphent.catalog import all_entries
@@ -21,6 +24,36 @@ from graphent.graphs import (
     neighbors,
     relabel,
 )
+
+from test_measures import for_random_graphs
+
+
+def brute_force_canonical_edges(g):
+    """Lexicographically least sorted edge list over all n! relabelings.
+
+    The reference for canonical_form, which finds the same form by an
+    ordered-partition search. With pair (1, 2) as the most significant
+    bit, the largest edge bitmask is the least edge list.
+    """
+    assert g.n <= 8, "n! relabelings"
+    if not g.edges:
+        return ()
+    perms, weight = _relabelings(g.n)
+    masks = np.zeros(len(perms), dtype=np.int64)
+    for i, j in g.edges:
+        masks += weight[perms[:, i - 1], perms[:, j - 1]]
+    best = perms[int(np.argmax(masks))]
+    return relabel(g, tuple(int(x) + 1 for x in best)).edges
+
+
+@functools.lru_cache(maxsize=None)
+def _relabelings(n):
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    pairs = list(itertools.combinations(range(n), 2))
+    weight = np.zeros((n, n), dtype=np.int64)
+    for rank, (u, v) in enumerate(pairs):
+        weight[u, v] = weight[v, u] = 1 << (len(pairs) - 1 - rank)
+    return perms, weight
 
 
 def test_make_graph_normalizes():
@@ -111,11 +144,68 @@ def test_canonical_form_idempotent_and_relabel_invariant():
         assert canonical_form(relabel(g, tuple(perm))) == c
 
 
+def test_canonical_form_matches_brute_force_on_random_graphs():
+    def check(g):
+        assert canonical_form(g).edges == brute_force_canonical_edges(g)
+
+    for_random_graphs(check, 8)
+
+
+def test_catalog_orbit_representatives_are_fixed_points():
+    for e in all_entries():
+        for rep in lc_orbit(e.graph).representatives:
+            assert canonical_form(rep) == rep, e.id
+
+
+def test_c8_orbit_within_one_second():
+    start = time.perf_counter()
+    assert lc_orbit(make_graph(8, [(v, v % 8 + 1) for v in range(1, 9)])).size == 214
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cocktail_party_canonical_form_within_budget():
+    # K16 minus a perfect matching (2^8 * 8! automorphisms) is the slowest
+    # n = 16 input found: its tied states differ only in the order of the
+    # matched partners, which neither prune merges.
+    matching = {(2 * k - 1, 2 * k) for k in range(1, 9)}
+    g = make_graph(16, set(itertools.combinations(range(1, 17), 2)) - matching)
+    start = time.perf_counter()
+    c = canonical_form(g)
+    assert time.perf_counter() - start < 5.0
+    # Lex-least: each vertex's missing partner is labeled as late as possible.
+    missing = set(itertools.combinations(range(1, 17), 2)) - set(c.edges)
+    assert missing == {(k, 17 - k) for k in range(1, 9)}
+
+
 def test_path_vs_star_not_isomorphic():
     path = make_graph(4, [(1, 2), (2, 3), (3, 4)])
     star = make_graph(4, [(1, 2), (1, 3), (1, 4)])
     assert not is_isomorphic(path, star)
     assert find_isomorphism(path, star) is None
+
+
+@pytest.mark.parametrize("edges, budget", [
+    # The Clebsch graph (folded 5-cube): 1920 automorphisms, no twins.
+    ([(a + 1, b + 1) for a, b in itertools.combinations(range(16), 2)
+      if a ^ b in (1, 2, 4, 8, 15)], 1.0),
+    # 8 * K2: about 1 s unless tied states with equal cells are kept once.
+    ([(2 * k - 1, 2 * k) for k in range(1, 9)], 0.25),
+], ids=["clebsch", "perfect-matching"])
+def test_symmetric_canonical_form_within_budget(edges, budget):
+    g = make_graph(16, edges)
+    start = time.perf_counter()
+    c = canonical_form(g)
+    assert time.perf_counter() - start < budget
+    assert canonical_form(relabel(g, range(16, 0, -1))) == c
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_find_isomorphism_rejects_path_vs_star_fast(n):
+    path = make_graph(n, [(v, v + 1) for v in range(1, n)])
+    star = make_graph(n, [(1, v) for v in range(2, n + 1)])
+    start = time.perf_counter()
+    assert find_isomorphism(path, star) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_isomorphism_witness_relabels_exactly():

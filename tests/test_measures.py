@@ -77,7 +77,7 @@ def test_gcm_graph_path_matches_statevector_path_on_catalog():
         assert by_graph.value == pytest.approx(by_state.value, abs=1e-12), e.id
 
 
-def _for_random_graphs(check, max_n: int) -> None:
+def for_random_graphs(check, max_n: int) -> None:
     """Run check on 60 derandomized hypothesis graphs with 2 <= n <= max_n."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -100,7 +100,7 @@ def test_gcm_graph_path_matches_statevector_path_on_random_graphs():
             gcm(build_graph_state(g)).value, abs=1e-12
         )
 
-    _for_random_graphs(check, 10)
+    for_random_graphs(check, 10)
 
 
 def test_gcm_graph_path_star_and_complete_at_max_vertices():
@@ -299,7 +299,7 @@ def test_fidelity_ceiling_matches_schmidt_oracle_on_catalog():
 
 
 def test_fidelity_ceiling_matches_schmidt_oracle_on_random_graphs():
-    _for_random_graphs(_max_cut_rank_ceiling_matches_oracle, 8)
+    for_random_graphs(_max_cut_rank_ceiling_matches_oracle, 8)
 
 
 def test_gem_graph_path_matches_statevector_path_on_catalog():

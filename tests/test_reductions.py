@@ -6,10 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from graphent.graphs import make_graph
-from graphent.reductions import partial_trace, purity, subset_purity
+from graphent.graphs import local_complement, make_graph, relabel
+from graphent.reductions import (
+    cut_rank_histogram,
+    partial_trace,
+    purity,
+    subset_purity,
+)
 from graphent.states import build_graph_state
 
+from test_measures import for_random_graphs
 from test_states import random_unitary
 
 
@@ -144,3 +150,17 @@ def test_subset_validation():
         partial_trace(psi, [1, 1])
     with pytest.raises(ValueError):
         partial_trace(psi, [3])
+
+
+def test_cut_rank_histogram_is_lc_and_relabel_invariant():
+    # Cut-rank is invariant under local complementation (Bouchet 1988),
+    # which lets are_lc_equivalent reject pairs whose histograms differ.
+    def check(g):
+        want = cut_rank_histogram(g).tolist()
+        for a in range(1, g.n + 1):
+            assert cut_rank_histogram(local_complement(g, a)).tolist() == want
+        perm = list(range(1, g.n + 1))
+        random.Random(len(g.edges)).shuffle(perm)
+        assert cut_rank_histogram(relabel(g, perm)).tolist() == want
+
+    for_random_graphs(check, 10)
