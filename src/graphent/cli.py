@@ -131,7 +131,7 @@ def cmd_measure(args, kind: str) -> int:
     else:
         result = gem(g, _gem_config(args))
         diagnostics = dataclasses.asdict(result.diagnostics)
-        del diagnostics["restart_sweeps"]
+        del diagnostics["restart_sweeps"], diagnostics["ceiling"]
         payload = {"measure": "GEM", "value": result.value, "diagnostics": diagnostics}
     if args.format == "json":
         _emit(_json_text(payload), args.out)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=lambda a: cmd_measure(a, "GCM"))
 
-    p = sub.add_parser("gem", help="geometric measure via seeded see-saw")
+    p = sub.add_parser("gem", help="geometric measure via bounds or seeded see-saw")
     _add_source_flags(p)
     _add_gem_flags(p)
     p.add_argument("--tol", type=float, dest="gem_tol", metavar="T",

@@ -16,15 +16,19 @@ one is
 
     1 - max |<phi|psi>|^2
 
-over product states phi, evaluated by alternating (see-saw)
-optimization with random restarts. No product state beats the top
-Schmidt weight of any cut, so the smallest such weight is a ceiling on
-the fidelity; for a graph it is 2^-(max cut-rank) (the bound
-E >= max cut-rank of Markham, Miyake, Virmani, NJP 9, 194 (2007)). The
-see-saw stops, certified, as soon as it reaches that ceiling. Two
-independent oracles bound the geometric value: the largest Schmidt
-coefficient across any single bipartition (lower bound, exact for two
-qubits) and a dense parameter grid (upper bound, small systems only).
+over product states phi. No product state beats the top Schmidt weight
+of any cut, so the smallest such weight is a ceiling on the fidelity;
+for a graph it is 2^-(max cut-rank) (the bound E >= max cut-rank of
+Markham, Miyake, Virmani, NJP 9, 194 (2007)). For a graph there is also
+a floor: |+> on a maximum independent set and |0> elsewhere has
+fidelity exactly 2^-(n - alpha(G)). Where floor and ceiling meet, that
+is the value ("bound" path), with no statevector and no sweep.
+Otherwise the value comes from alternating (see-saw) optimization with
+random restarts, which stops, certified, as soon as it reaches the
+ceiling. Two independent oracles bound the geometric value: the largest
+Schmidt coefficient across any single bipartition (lower bound, exact
+for two qubits) and a dense parameter grid (upper bound, small systems
+only).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import MAX_VERTICES, Graph
+from graphent.graphs import MAX_VERTICES, Graph, independence_number
 from graphent.reductions import (
     _smaller_gram,
     _split_matrix,
@@ -94,7 +98,10 @@ class GemConfig:
 @dataclass(frozen=True)
 class GemDiagnostics:
     """Work and outcome of one gem call. restart_sweeps sums, over the
-    sweeps, the restarts still active in each."""
+    sweeps, the restarts still active in each. The largest product
+    fidelity lies in [best_fidelity, ceiling], so the geometric measure
+    lies in [1 - ceiling, 1 - best_fidelity]. The bound path does no
+    work: no restarts, no sweeps, and best_restart_index -1."""
 
     restarts_used: int
     best_restart_index: int
@@ -104,13 +111,15 @@ class GemDiagnostics:
     degenerate_redraws: int
     restarts_at_best: int
     restart_sweeps: int
+    ceiling: float
 
 
 @dataclass(frozen=True)
 class MeasureResult:
     """A measure value and the path that produced it: "cut-rank" or
-    "statevector" for GCM; for GEM "certified" when the see-saw reached
-    the Schmidt ceiling, else "see-saw"."""
+    "statevector" for GCM; for GEM "bound" when a graph's floor meets its
+    ceiling, "certified" when the see-saw reached the Schmidt ceiling,
+    else "see-saw"."""
 
     kind: str
     value: float
@@ -260,12 +269,18 @@ def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
 
 
 def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
-    """Geometric measure by see-saw over random product-state restarts.
+    """Geometric measure from a graph's bounds, else by see-saw over
+    random product-state restarts.
 
-    A Graph stands for its graph state |G>. Each restart's starting
-    factors come from a dedicated stream keyed by (seed, restart index),
-    and sweeps update qubits 1..n cyclically. The sweeps stop for one of
-    three reasons:
+    A Graph stands for its graph state |G>. If its floor 2^-(n - alpha)
+    equals its ceiling 2^-(max cut-rank), the result is 1 - ceiling with
+    method "bound": exact, built from alpha(G) and the cut-rank
+    histogram alone, with no statevector and no sweep, so cfg has no
+    effect. Any other graph, and every statevector, goes to the see-saw.
+
+    Each restart's starting factors come from a dedicated stream keyed
+    by (seed, restart index), and sweeps update qubits 1..n cyclically.
+    The sweeps stop for one of three reasons:
 
     - certified: the best fidelity is within the tolerance of the
       ceiling, the smallest top Schmidt weight over all cuts, so no
@@ -281,13 +296,22 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
 
     The winner is the highest final fidelity with ties (within
     _TIE_TOL, the restarts that restarts_at_best counts) broken toward
-    the lowest restart index. The result is reproducible for a fixed
-    config and is an upper bound on the true measure.
+    the lowest restart index. The see-saw result is reproducible for a
+    fixed config and is an upper bound on the true measure; the
+    diagnostics' ceiling gives 1 - ceiling as a lower one.
     """
     cfg = cfg or GemConfig()
     n = _qubit_count(state)
     ceiling = _fidelity_ceiling(state)
     if isinstance(state, Graph):
+        if 0.5 ** (n - independence_number(state)) == ceiling:
+            diag = GemDiagnostics(
+                restarts_used=0, best_restart_index=-1, iterations=0,
+                converged=True, best_fidelity=ceiling, degenerate_redraws=0,
+                restarts_at_best=0, restart_sweeps=0, ceiling=ceiling,
+            )
+            return MeasureResult(kind="GEM", value=1.0 - ceiling, method="bound",
+                                 diagnostics=diag)
         state = build_graph_state(state)
     psi = _normalized(state)
     r = cfg.restarts
@@ -352,6 +376,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
         degenerate_redraws=degenerate_redraws,
         restarts_at_best=at_best,
         restart_sweeps=restart_sweeps,
+        ceiling=ceiling,
     )
     return MeasureResult(kind="GEM", value=1.0 - best_fid, method=method,
                          diagnostics=diag)

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from graphent.graphs import Graph
+from graphent.graphs import Graph, _adjacency_masks
 from graphent.states import num_qubits
 
 
@@ -100,10 +100,7 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
     int64 values.
     """
     n = g.n
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
+    adj = _adjacency_masks(g)
     subsets = np.arange(1, 1 << (n - 1), dtype=np.int64)
     outside = ~subsets
     basis = np.zeros((n, subsets.size), dtype=np.int64)

@@ -67,7 +67,7 @@ def test_gem_command(capsys):
 
 
 def test_gem_json_diagnostics(capsys):
-    code, out, _ = run(capsys, "gem", "--graph", "1", "--restarts", "8",
+    code, out, _ = run(capsys, "gem", "--graph", "8", "--restarts", "8",
                        "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -176,13 +176,24 @@ def test_gcm_cycle_at_max_vertices_within_budget(capsys):
 
 
 def test_gem_cycle_at_max_vertices_within_budget(capsys):
-    # Certified at the cut-rank ceiling 2^-8 after a few sweeps.
+    # The independent-set floor meets the cut-rank ceiling at 2^-8.
     edges = ",".join(f"{v} {v % 16 + 1}" for v in range(1, 17))
     start = time.perf_counter()
     code, out, _ = run(capsys, "gem", "--edges", edges)
     assert code == 0
     assert out == "GEM = 0.99609\n"
     assert time.perf_counter() - start < 5.0
+
+
+def test_gem_cycle_at_max_vertices_from_bounds(capsys):
+    # alpha(C16) = 8 equals its max cut-rank: no statevector, no sweep.
+    edges = ",".join(f"{v} {v % 16 + 1}" for v in range(1, 17))
+    start = time.perf_counter()
+    assert run(capsys, "gem", "--edges", edges) == (0, "GEM = 0.99609\n", "")
+    assert time.perf_counter() - start < 0.5
+    payload = json.loads(run(capsys, "gem", "--edges", edges, "--format", "json")[1])
+    assert payload["diagnostics"]["iterations"] == 0
+    assert payload["diagnostics"]["restarts_used"] == 0
 
 
 def test_consecutive_calls_do_not_share_flags(capsys):

@@ -16,6 +16,7 @@ from graphent.graphs import (
     canonical_form,
     degree_sequence,
     find_isomorphism,
+    independence_number,
     is_connected,
     is_isomorphic,
     lc_orbit,
@@ -25,7 +26,7 @@ from graphent.graphs import (
     relabel,
 )
 
-from test_measures import for_random_graphs
+from test_measures import brute_force_independent_set, for_random_graphs
 
 
 def brute_force_canonical_edges(g):
@@ -149,6 +150,24 @@ def test_canonical_form_matches_brute_force_on_random_graphs():
         assert canonical_form(g).edges == brute_force_canonical_edges(g)
 
     for_random_graphs(check, 8)
+
+
+def test_independence_number_matches_brute_force_on_random_graphs():
+    def check(g):
+        assert independence_number(g) == len(brute_force_independent_set(g))
+
+    for_random_graphs(check, 10)
+
+
+def test_independence_number_at_max_vertices():
+    n = 16
+    cycle = make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+    star = make_graph(n, [(1, v) for v in range(2, n + 1)])
+    complete = make_graph(n, itertools.combinations(range(1, n + 1), 2))
+    matching = make_graph(n, [(v, v + 1) for v in range(1, n, 2)])
+    assert [independence_number(g) for g in (cycle, star, complete, matching)] == [
+        8, 15, 1, 8]
+    assert independence_number(make_graph(n, [])) == n
 
 
 def test_catalog_orbit_representatives_are_fixed_points():

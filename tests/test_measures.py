@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from graphent.catalog import all_entries, catalog_get
-from graphent.graphs import MAX_VERTICES, local_complement, make_graph
+from graphent.graphs import (
+    MAX_VERTICES,
+    independence_number,
+    local_complement,
+    make_graph,
+)
 from graphent.measures import (
     DegenerateContractionError,
     GemConfig,
+    GemDiagnostics,
     ProductState,
     _fidelity_ceiling,
     brute_force_gem,
@@ -92,6 +98,16 @@ def for_random_graphs(check, max_n: int) -> None:
     settings = hypothesis.settings(max_examples=60, deadline=None, database=None,
                                    derandomize=True)
     settings(hypothesis.given(graphs())(check))()
+
+
+def brute_force_independent_set(g) -> tuple[int, ...]:
+    """A largest vertex set with no edge inside, from all 2^n subsets."""
+    edges = set(g.edges)
+    return max(
+        (s for r in range(g.n + 1) for s in itertools.combinations(range(1, g.n + 1), r)
+         if edges.isdisjoint(itertools.combinations(s, 2))),
+        key=len,
+    )
 
 
 def test_gcm_graph_path_matches_statevector_path_on_random_graphs():
@@ -277,7 +293,7 @@ def test_gem_best_index_uses_the_tie_tolerance():
     # On catalog id 6 under seed 0, 16 restarts tie within 1e-9 of the best
     # fidelity. The highest is restart 21, and restart 14 is the lowest
     # within 1e-15 of it, but the lowest index of the tie, 0, wins.
-    d = gem(catalog_get(6).graph, GemConfig(seed=0)).diagnostics
+    d = gem(build_graph_state(catalog_get(6).graph), GemConfig(seed=0)).diagnostics
     assert d.restarts_at_best == 16
     assert d.best_restart_index == 0
 
@@ -324,12 +340,17 @@ def test_gem_rotated_cycle_statevector_within_budget():
     assert res.value == pytest.approx(1.0 - 2.0**-6, abs=1e-9)
 
 
+def _entries_at_the_ceiling():
+    """The 37 catalog entries whose reference GEM is 1 - 2^-(max cut-rank)."""
+    return [e for e in all_entries()
+            if abs(e.expected_gem - (1.0 - _fidelity_ceiling(e.graph))) < 1e-5]
+
+
 def test_gem_certifies_every_id_at_the_cut_rank_bound():
-    certifiable = [e for e in all_entries()
-                   if abs(e.expected_gem - (1.0 - _fidelity_ceiling(e.graph))) < 1e-5]
+    certifiable = _entries_at_the_ceiling()
     assert len(certifiable) == 37
     for e in certifiable:
-        res = gem(e.graph, GemConfig(seed=0))
+        res = gem(build_graph_state(e.graph), GemConfig(seed=0))
         assert res.method == "certified", e.id
         assert res.diagnostics.converged, e.id
         assert res.diagnostics.iterations <= 10, e.id
@@ -337,7 +358,7 @@ def test_gem_certifies_every_id_at_the_cut_rank_bound():
 
 def test_gem_reports_its_method_and_stop_reason():
     path = make_graph(3, [(1, 2), (2, 3)])
-    res = gem(path, GemConfig(restarts=8))
+    res = gem(build_graph_state(path), GemConfig(restarts=8))
     assert res.method == "certified"
     assert res.diagnostics.converged
     # The 5-cycle's geometric measure, 0.86855, lies above the cut-rank
@@ -354,6 +375,65 @@ def test_gem_reports_its_method_and_stop_reason():
     assert not capped.converged
     assert capped.iterations == 3
     assert capped.restart_sweeps == 24
+
+
+def test_gem_floor_is_a_product_fidelity_below_the_ceiling():
+    # |+> on a largest independent set, |0> elsewhere, has fidelity
+    # exactly 2^-(n - alpha), so no cut's top Schmidt weight is smaller.
+    plus, zero = np.full(2, 2.0**-0.5), np.array([1.0, 0.0])
+
+    def check(g):
+        chosen = brute_force_independent_set(g)
+        floor = 0.5 ** (g.n - len(chosen))
+        phi = ProductState(tuple(plus if v in chosen else zero
+                                 for v in range(1, g.n + 1)))
+        assert product_fidelity(build_graph_state(g), phi) == pytest.approx(
+            floor, abs=1e-12)
+        assert floor <= _fidelity_ceiling(g)
+
+    for_random_graphs(check, 10)
+
+
+def test_gem_bound_path_on_the_ids_the_see_saw_certifies():
+    # test_gem_graph_path_matches_statevector_path_on_catalog holds these
+    # values to the statevector see-saw's within 1e-12.
+    at_ceiling = _entries_at_the_ceiling()
+    assert len(at_ceiling) == 37
+    for e in at_ceiling:
+        res = gem(e.graph)
+        ceiling = _fidelity_ceiling(e.graph)
+        assert res.method == "bound", e.id
+        assert res.value == 1.0 - ceiling
+        assert res.diagnostics == GemDiagnostics(
+            restarts_used=0, best_restart_index=-1, iterations=0, converged=True,
+            best_fidelity=ceiling, degenerate_redraws=0, restarts_at_best=0,
+            restart_sweeps=0, ceiling=ceiling,
+        )
+
+
+def test_gem_bound_path_builds_no_statevector(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"statevector built for {g!r}")
+
+    monkeypatch.setattr("graphent.measures.build_graph_state", refuse)
+    for e in _entries_at_the_ceiling():
+        assert gem(e.graph, GemConfig(seed=0)).method == "bound", e.id
+    with pytest.raises(AssertionError, match="statevector built"):
+        gem(catalog_get(8).graph)
+
+
+def test_gem_graphs_off_the_bound_keep_the_see_saw():
+    # C5 (id 8) has n - alpha = 3 against max cut-rank 2, id 40 has 4
+    # against 3: the bounds do not meet, so the see-saw runs.
+    for gid in (8, 40):
+        g = catalog_get(gid).graph
+        assert g.n - independence_number(g) > -np.log2(_fidelity_ceiling(g))
+        res = gem(g)
+        d = res.diagnostics
+        assert res.method == "see-saw", gid
+        assert d.restarts_used == 64
+        assert d.ceiling == _fidelity_ceiling(g)
+        assert d.best_fidelity <= d.ceiling
 
 
 def test_gem_product_state_is_zero():
