@@ -160,10 +160,7 @@ def parse_edge_list(text: str) -> Graph:
         if not edges:
             raise ValueError("empty edge list and no n header")
         n_header = max(max(e) for e in edges)
-    try:
-        return make_graph(n_header, edges)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return make_graph(n_header, edges)
 
 
 def serialize_edge_list(g: Graph) -> str:

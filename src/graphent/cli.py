@@ -10,6 +10,12 @@ significant bit: |q1 q2 ... qn> sits at index q1*2^(n-1) + ... + qn.
 Text output rounds to 5 decimals; JSON keeps full precision. All
 randomness is seeded (default seed 0), so identical invocations
 produce identical bytes.
+
+main alone picks the output format and writes: to --out, or else to
+sys.stdout, looked up at write time so that callers may redirect it.
+Each cmd_* returns a Result, its exit code and a render(fmt) that
+builds only the requested format: a JSON object for json, which main
+serializes, or the text for table and csv.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 from graphent.catalog import (
     all_entries,
     catalog_get,
     catalog_size,
     parse_edge_list,
-    serialize_edge_list,
 )
 from graphent.classify import (
     DEFAULT_GROUPING_TOL,
@@ -53,6 +59,9 @@ from graphent.states import (
     lc_unitary_apply,
     stabilizer_expectation,
 )
+
+
+Result = tuple[int, Callable[[str], dict | str]]
 
 
 def _parse_inline_edges(text: str) -> Graph:
@@ -86,14 +95,6 @@ def _graph_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -104,100 +105,85 @@ def _gem_config(args) -> GemConfig:
                         if getattr(args, flag, None) is not None})
 
 
-def cmd_state(args) -> int:
+def cmd_state(args) -> Result:
     g = _load_graph(args)
     psi = build_graph_state(g)
-    if args.format == "json":
-        payload = {
-            "n": g.n,
-            "bit_order": "qubit 1 is the most significant bit",
-            "amplitudes": [[float(a.real), float(a.imag)] for a in psi],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
+
+    def render(fmt):
+        if fmt == "json":
+            return {
+                "n": g.n,
+                "bit_order": "qubit 1 is the most significant bit",
+                "amplitudes": [[float(a.real), float(a.imag)] for a in psi],
+            }
         lines = []
         for idx, a in enumerate(psi):
             bits = format(idx, f"0{g.n}b")
             lines.append(f"|{bits}>  {a.real:+.5f}  {a.imag:+.5f}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+
+    return 0, render
 
 
-def cmd_measure(args, kind: str) -> int:
+def cmd_measure(args, kind: str) -> Result:
     g = _load_graph(args)
-    if kind == "GCM":
-        result = gcm(g)
-        payload = {"measure": "GCM", "value": result.value}
-    else:
-        result = gem(g, _gem_config(args))
-        diagnostics = dataclasses.asdict(result.diagnostics)
-        del diagnostics["restart_sweeps"], diagnostics["ceiling"]
-        payload = {"measure": "GEM", "value": result.value, "diagnostics": diagnostics}
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(f"{kind} = {result.value:.5f}\n", args.out)
-    return 0
+    result = gcm(g) if kind == "GCM" else gem(g, _gem_config(args))
+
+    def render(fmt):
+        if fmt != "json":
+            return f"{kind} = {result.value:.5f}\n"
+        payload = {"measure": kind, "value": result.value}
+        if kind == "GEM":
+            diagnostics = dataclasses.asdict(result.diagnostics)
+            del diagnostics["restart_sweeps"], diagnostics["ceiling"]
+            payload["diagnostics"] = diagnostics
+        return payload
+
+    return 0, render
 
 
-def cmd_lc(args) -> int:
-    g = _load_graph(args)
-    moved = local_complement(g, args.vertex)
-    if args.format == "json":
-        _emit(_json_text(_graph_dict(moved)), args.out)
-    else:
-        _emit(_inline(moved) + "\n", args.out)
-    return 0
+def cmd_lc(args) -> Result:
+    moved = local_complement(_load_graph(args), args.vertex)
+    return 0, lambda fmt: _graph_dict(moved) if fmt == "json" else _inline(moved) + "\n"
 
 
-def cmd_orbit(args) -> int:
-    g = _load_graph(args)
-    orbit = lc_orbit(g, max_size=args.budget)
+def cmd_orbit(args) -> Result:
+    orbit = lc_orbit(_load_graph(args), max_size=args.budget)
     reps = orbit.sorted_representatives()
-    if args.format == "json":
-        payload = {"size": orbit.size, "representatives": [_graph_dict(r) for r in reps]}
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = [f"orbit size: {orbit.size}"]
-        lines.extend(_inline(r) for r in reps)
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+
+    def render(fmt):
+        if fmt == "json":
+            return {"size": orbit.size,
+                    "representatives": [_graph_dict(r) for r in reps]}
+        lines = [f"orbit size: {orbit.size}"] + [_inline(r) for r in reps]
+        return "\n".join(lines) + "\n"
+
+    return 0, render
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> Result:
     g1 = _load_graph(args)
     g2 = _load_graph(args, suffix="2")
     verdict = are_lc_equivalent(g1, g2, max_size=args.budget)
-    if args.format == "json":
-        _emit(_json_text({"equivalent": verdict}), args.out)
-    else:
-        _emit(("equivalent" if verdict else "inequivalent") + "\n", args.out)
-    return 0
+    return 0, lambda fmt: ({"equivalent": verdict} if fmt == "json"
+                           else ("equivalent" if verdict else "inequivalent") + "\n")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Result:
     report = build_report(args.measure, _gem_config(args), args.tol)
-    if args.format == "json":
-        _emit(_json_text(report_to_dict(report)), args.out)
-    elif args.format == "csv":
-        _emit(render_report_csv(report), args.out)
-    else:
-        _emit(render_report_text(report), args.out)
-    return 0
+    renderers = {"json": report_to_dict, "csv": render_report_csv,
+                 "table": render_report_text}
+    return 0, lambda fmt: renderers[fmt](report)
 
 
-def cmd_rp_table(args) -> int:
+def cmd_rp_table(args) -> Result:
     table = build_rp_table(_gem_config(args), args.tol)
-    if args.format == "json":
-        _emit(_json_text(table), args.out)
-    elif args.format == "csv":
-        _emit(render_rp_table_csv(table), args.out)
-    else:
-        _emit(render_rp_table_text(table), args.out)
-    return 0
+    renderers = {"json": lambda t: t, "csv": render_rp_table_csv,
+                 "table": render_rp_table_text}
+    return 0, lambda fmt: renderers[fmt](table)
 
 
-def cmd_verify_catalog(args) -> int:
+def cmd_verify_catalog(args) -> Result:
     entries = all_entries()
     pairs = len(entries) * (len(entries) - 1) // 2
     checks = []
@@ -250,27 +236,24 @@ def cmd_verify_catalog(args) -> int:
         checks.append(("lc-pairwise", ok, detail))
 
     passed = all(ok for _, ok, _ in checks)
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {"name": name, "passed": ok, "detail": detail}
+
+    def render(fmt):
+        if fmt == "json":
+            return {"checks": [{"name": name, "passed": ok, "detail": detail}
+                               for name, ok, detail in checks],
+                    "passed": passed}
+        if fmt == "csv":
+            lines = ["check,passed,detail"]
+            lines += [f"{name},{str(ok).lower()},{detail}" for name, ok, detail in checks]
+        else:
+            lines = [
+                f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
                 for name, ok, detail in checks
-            ],
-            "passed": passed,
-        }
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        lines = ["check,passed,detail"]
-        lines += [f"{name},{str(ok).lower()},{detail}" for name, ok, detail in checks]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
-            for name, ok, detail in checks
-        ]
-        lines.append("catalog OK" if passed else "catalog verification FAILED")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if passed else 1
+            ]
+            lines.append("catalog OK" if passed else "catalog verification FAILED")
+        return "\n".join(lines) + "\n"
+
+    return (0 if passed else 1), render
 
 
 def _add_source_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -376,9 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, write its output in the chosen format, and
+    return its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, render = args.func(args)
+        text = render(args.format)
+        if args.format == "json":
+            text = _json_text(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OrbitBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,19 @@
 """Undirected simple graphs on labeled vertices.
 
-Construction, isomorphism testing, independence number, local
-complementation, and local-complementation orbits modulo isomorphism.
-Isomorphism goes through one canonical form, the lexicographically
-least sorted edge list, found by an ordered-partition search rather
-than a scan of the n! labelings. One breadth-first search serves both
-the orbit enumeration (lc_orbit) and the equivalence test
-(are_lc_equivalent), which stops at its target. Vertices are
-1-indexed everywhere in the public interface.
+Construction, isomorphism testing, independence number, GF(2)
+cut-ranks, local complementation, and local-complementation orbits
+modulo isomorphism. Isomorphism goes through one canonical form, the
+lexicographically least sorted edge list, found by an ordered-partition
+search rather than a scan of the n! labelings. One breadth-first search
+serves both the orbit enumeration (lc_orbit) and the equivalence test
+(are_lc_equivalent), which stops at its target. Vertices are 1-indexed
+everywhere in the public interface.
+
+The cut-rank of a vertex subset A is the rank over GF(2) of the
+adjacency block between A and its complement. The graph state |G> has
+Tr rho_A^2 = 2^-cutrank(A) (Hein, Eisert, Briegel, PRA 69, 062311
+(2004)), so cut_rank_histogram, which counts the cut-ranks over every
+cut, gives the subsystem purities of |G> without a statevector.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_VERTICES = 16
 
@@ -147,14 +155,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def degree_sequence(g: Graph) -> tuple[int, ...]:
-    deg = [0] * g.n
-    for i, j in g.edges:
-        deg[i - 1] += 1
-        deg[j - 1] += 1
-    return tuple(sorted(deg))
-
-
 def _adjacency_masks(g: Graph) -> list[int]:
     """Entry v - 1 is vertex v's neighbourhood as a bitmask, bit u - 1
     standing for vertex u."""
@@ -163,6 +163,33 @@ def _adjacency_masks(g: Graph) -> list[int]:
         adj[i - 1] |= 1 << (j - 1)
         adj[j - 1] |= 1 << (i - 1)
     return adj
+
+
+def cut_rank_histogram(g: Graph) -> np.ndarray:
+    """Entry k counts the cuts of g whose GF(2) cut-rank is k.
+
+    The cuts are the 2^(n-1) - 1 nonempty vertex subsets A that leave
+    out vertex n. A subset and its complement have equal cut-rank, so
+    these cover every bipartition once. All subsets are eliminated
+    together: row v of subset A is v's neighbourhood inside the
+    complement of A, as an int64 bitmask, and each subset keeps an XOR
+    basis with one slot per leading bit. Temporaries are n * 2^(n-1)
+    int64 values.
+    """
+    n = g.n
+    adj = _adjacency_masks(g)
+    subsets = np.arange(1, 1 << (n - 1), dtype=np.int64)
+    outside = ~subsets
+    basis = np.zeros((n, subsets.size), dtype=np.int64)
+    for v in range(n - 1):
+        row = np.where((subsets >> v) & 1 == 1, outside & adj[v], 0)
+        for b in range(n - 1, -1, -1):
+            hit = (row >> b) & 1 == 1
+            # An empty slot takes the row; either way the row then
+            # loses bit b by XOR with the slot (to zero if just stored).
+            np.copyto(basis[b], row, where=hit & (basis[b] == 0))
+            row ^= np.where(hit, basis[b], 0)
+    return np.bincount(np.count_nonzero(basis, axis=0), minlength=1)
 
 
 def independence_number(g: Graph) -> int:
@@ -320,9 +347,6 @@ def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
     rejected without a search. Otherwise g1's orbit is searched until it
     reaches g2, so max_size binds only when g2 is not reached first.
     """
-    # Function-local: reductions imports this module.
-    from graphent.reductions import cut_rank_histogram
-
     if g1.n != g2.n:
         return False
     if cut_rank_histogram(g1).tolist() != cut_rank_histogram(g2).tolist():

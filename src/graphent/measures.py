@@ -38,12 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import MAX_VERTICES, Graph, independence_number
+from graphent.graphs import MAX_VERTICES, Graph, cut_rank_histogram, independence_number
 from graphent.reductions import (
     _smaller_gram,
     _split_matrix,
     _subset,
-    cut_rank_histogram,
     subset_purity,
 )
 from graphent.states import build_graph_state, num_qubits

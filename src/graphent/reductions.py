@@ -1,13 +1,9 @@
-"""Reduced density matrices and subsystem purities.
+"""Reduced density matrices and subsystem purities of statevectors.
 
-Purities come from two places. For an arbitrary statevector, a
-subsystem is given as a collection of 1-indexed qubit labels and its
+A subsystem is given as a collection of 1-indexed qubit labels and its
 reduction is formed from the state's amplitudes; the full density
-matrix is exposed for inspection and cross-checking. For a graph state
-|G> no statevector is needed: Tr rho_A^2 = 2^-cutrank(A), where
-cutrank(A) is the rank over GF(2) of the adjacency block between A and
-its complement (Hein, Eisert, Briegel, PRA 69, 062311 (2004)), and
-cut_rank_histogram counts those ranks over every cut of the graph.
+matrix is exposed for inspection and cross-checking. Graph states need
+no statevector for their purities: see graphs.cut_rank_histogram.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from graphent.graphs import Graph, _adjacency_masks
 from graphent.states import num_qubits
 
 
@@ -68,14 +63,10 @@ def purity(rho: np.ndarray) -> float:
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
-    """Tr(rho_keep^2) computed without forming the larger Gram matrix.
-
-    Both sides of a bipartition have equal purity, so the Gram matrix
-    is always built on the smaller side.
-    """
+    """Tr(rho_keep^2) computed without forming the larger Gram matrix:
+    both sides of a bipartition have equal purity, so the Gram matrix is
+    built on the smaller side."""
     n, keep = _subset(state, keep)
-    if len(keep) > n - len(keep) and len(keep) < n:
-        keep = tuple(q for q in range(1, n + 1) if q not in keep)
     gram = _smaller_gram(_split_matrix(state, keep, n))
     return float(np.sum(np.abs(gram) ** 2))
 
@@ -86,30 +77,3 @@ def _smaller_gram(m: np.ndarray) -> np.ndarray:
     if m.shape[0] <= m.shape[1]:
         return m @ m.conj().T
     return m.conj().T @ m
-
-
-def cut_rank_histogram(g: Graph) -> np.ndarray:
-    """Entry k counts the cuts of g whose GF(2) cut-rank is k.
-
-    The cuts are the 2^(n-1) - 1 nonempty vertex subsets A that leave
-    out vertex n. A subset and its complement have equal cut-rank, so
-    these cover every bipartition once. All subsets are eliminated
-    together: row v of subset A is v's neighbourhood inside the
-    complement of A, as an int64 bitmask, and each subset keeps an XOR
-    basis with one slot per leading bit. Temporaries are n * 2^(n-1)
-    int64 values.
-    """
-    n = g.n
-    adj = _adjacency_masks(g)
-    subsets = np.arange(1, 1 << (n - 1), dtype=np.int64)
-    outside = ~subsets
-    basis = np.zeros((n, subsets.size), dtype=np.int64)
-    for v in range(n - 1):
-        row = np.where((subsets >> v) & 1 == 1, outside & adj[v], 0)
-        for b in range(n - 1, -1, -1):
-            hit = (row >> b) & 1 == 1
-            # An empty slot takes the row; either way the row then
-            # loses bit b by XOR with the slot (to zero if just stored).
-            np.copyto(basis[b], row, where=hit & (basis[b] == 0))
-            row ^= np.where(hit, basis[b], 0)
-    return np.bincount(np.count_nonzero(basis, axis=0), minlength=1)

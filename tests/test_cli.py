@@ -281,6 +281,54 @@ def test_verify_catalog_budget_exceeded(capsys):
     assert "budget exceeded" in out
 
 
+def run_both(tmp_path, capsys, *argv):
+    """Run argv to stdout and again with --out; the bytes must agree."""
+    dest = tmp_path / "out"
+    code, out, err = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(dest)) == (code, "", err)
+    assert dest.read_bytes() == out.encode()
+    return code, out
+
+
+# Every subcommand but verify-catalog (below), on cheap arguments, with
+# the formats it accepts.
+_FORMATS = [
+    (("state", "--graph", "8"), ("table", "json")),
+    (("gcm", "--graph", "8"), ("table", "json")),
+    (("gem", "--graph", "40", "--restarts", "8"), ("table", "json")),
+    (("lc", "--graph", "8", "--vertex", "2"), ("table", "json")),
+    (("orbit", "--graph", "8"), ("table", "json")),
+    (("equiv", "--graph", "8", "--graph2", "9"), ("table", "json")),
+    (("classify", "--measure", "gcm"), ("table", "json", "csv")),
+    (("rp-table", "--restarts", "8"), ("table", "json", "csv")),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv + ("--format", fmt), id=f"{argv[0]}-{fmt}")
+    for argv, formats in _FORMATS for fmt in formats
+])
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    code, out = run_both(tmp_path, capsys, *argv)
+    assert code == 0
+    if argv[-1] == "json":
+        json.loads(out)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_verify_catalog_failure_still_reports(tmp_path, capsys, fmt):
+    code, out = run_both(tmp_path, capsys, "verify-catalog", "--lc-pairwise",
+                         "--budget", "50", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["checks"][-1]["name"] == "lc-pairwise"
+    else:
+        assert "budget exceeded for ids" in out
+        assert out.count("\n") == 6
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graphent.cli", "gcm", "--graph", "44"],

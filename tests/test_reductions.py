@@ -6,9 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from graphent.graphs import local_complement, make_graph, relabel
+from graphent.graphs import cut_rank_histogram, local_complement, make_graph, relabel
 from graphent.reductions import (
-    cut_rank_histogram,
     partial_trace,
     purity,
     subset_purity,
