@@ -53,8 +53,8 @@ _MAX_REDRAWS = 8
 
 
 class DegenerateContractionError(RuntimeError):
-    """Contraction against the other factors vanished; restart the sweep
-    from a fresh product state."""
+    """A contraction against the other factors vanished in see_saw_step,
+    or a gem start stayed degenerate through _MAX_REDRAWS redraws."""
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,12 @@ class GemConfig:
 
 @dataclass(frozen=True)
 class GemDiagnostics:
-    """Work and outcome of one gem call. restart_sweeps sums, over the
-    sweeps, the restarts still active in each. The largest product
-    fidelity lies in [best_fidelity, ceiling], so the geometric measure
-    lies in [1 - ceiling, 1 - best_fidelity]. The bound path does no
-    work: no restarts, no sweeps, and best_restart_index -1."""
+    """Work and outcome of one gem call. degenerate_redraws counts starting
+    draws redrawn before sweep 1; restart_sweeps sums, over the sweeps,
+    the restarts still active in each. The largest product fidelity lies
+    in [best_fidelity, ceiling], so the geometric measure lies in
+    [1 - ceiling, 1 - best_fidelity]. The bound path does no work: no
+    restarts, no sweeps, and best_restart_index -1."""
 
     restarts_used: int
     best_restart_index: int
@@ -202,8 +203,8 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...jk->...ik", a, b)
 
 
-def _environments(psi: np.ndarray, factors: np.ndarray, start: int = 0):
-    """Yield, for k = start..n-1, the contraction of the state psi with every
+def _environments(psi: np.ndarray, factors: np.ndarray):
+    """Yield, for k = 0..n-1, the contraction of the state psi with every
     factor except k, for all restarts at once; factors is (R, n, 2) and
     each result (R, 2).
 
@@ -216,12 +217,11 @@ def _environments(psi: np.ndarray, factors: np.ndarray, start: int = 0):
     """
     r, n = factors.shape[:2]
     right = [psi.reshape(1, -1, 2)]
-    for k in range(n - 1, start, -1):
+    for k in range(n - 1, 0, -1):
         right.append(_bmm(right[-1], np.conj(factors[:, k, :, None])).reshape(r, -1, 2))
     left = np.ones((r, 1, 1), dtype=complex)
     for k in range(n):
-        if k >= start:
-            yield _bmm(left, right[n - 1 - k]).reshape(r, 2)
+        yield _bmm(left, right[n - 1 - k]).reshape(r, 2)
         if k + 1 < n:
             f = np.conj(factors[:, k, None, :])
             left = _bmm(left.reshape(r, -1, 1), f).reshape(r, 1, -1)
@@ -230,16 +230,17 @@ def _environments(psi: np.ndarray, factors: np.ndarray, start: int = 0):
 def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
     """Replace factor k by its closed-form optimum, others held fixed.
 
-    The product fidelity never decreases under this update. Raises
-    DegenerateContractionError when the contraction vanishes and no
-    optimum direction exists.
+    The optimum is the k-th contraction of one _environments pass,
+    normalized; the product fidelity never decreases under it. Raises
+    DegenerateContractionError if that contraction vanishes.
     """
     n = num_qubits(state)
     if n != phi.n:
         raise ValueError(f"state has {n} qubits but product state has {phi.n}")
     if not 1 <= k <= n:
         raise ValueError(f"qubit {k} out of range for n={n}")
-    env = next(_environments(_normalized(state), np.stack(phi.factors)[None], k - 1))[0]
+    envs = _environments(_normalized(state), np.stack(phi.factors)[None])
+    env = next(itertools.islice(envs, k - 1, None))[0]
     norm = np.linalg.norm(env)
     if norm < _DEGENERATE_NORM:
         raise DegenerateContractionError(
@@ -279,6 +280,11 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
 
     Each restart's starting factors come from a dedicated stream keyed
     by (seed, restart index), and sweeps update qubits 1..n cyclically.
+    A start whose qubit-1 contraction vanishes is redrawn before sweep 1
+    from its stream (seed, restart index, attempt); still degenerate
+    after _MAX_REDRAWS redraws, it raises DegenerateContractionError.
+    Later contractions cannot vanish: each squared norm is at least the
+    fidelity before it, which the see-saw never lowers.
     The sweeps stop for one of three reasons:
 
     - certified: the best fidelity is within the tolerance of the
@@ -316,10 +322,20 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     r = cfg.restarts
 
     factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])
-    attempts = np.zeros(r, dtype=int)
+    degenerate_redraws = 0
+    for attempt in range(1, _MAX_REDRAWS + 2):
+        norms = np.linalg.norm(next(_environments(psi, factors)), axis=1)
+        bad = np.flatnonzero(norms < _DEGENERATE_NORM)
+        if bad.size == 0:
+            break
+        if attempt > _MAX_REDRAWS:
+            raise DegenerateContractionError(
+                f"restart {bad[0]} starts degenerate after {_MAX_REDRAWS} redraws"
+            )
+        factors[bad] = [_draw_factors(cfg.seed, int(i), n, attempt) for i in bad]
+        degenerate_redraws += bad.size
     fidelities = np.zeros(r)
     active = np.arange(r)
-    degenerate_redraws = 0
     restart_sweeps = 0
     iterations = 0
     method = "see-saw"
@@ -327,30 +343,11 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     for iterations in range(1, cfg.max_iterations + 1):
         restart_sweeps += active.size
         work = factors[active]
-        envs = _environments(psi, work)
-        for k in range(n):
-            env = next(envs)
+        for k, env in enumerate(_environments(psi, work)):
             norms = np.linalg.norm(env, axis=1)
-            redrawn = False
-            for j in np.flatnonzero(norms < _DEGENERATE_NORM):
-                # Measure-zero start; redraw this restart from its own
-                # continuation stream rather than emitting NaN.
-                i = active[j]
-                if attempts[i] < _MAX_REDRAWS:
-                    attempts[i] += 1
-                    degenerate_redraws += 1
-                    work[j] = _draw_factors(cfg.seed, int(i), n, int(attempts[i]))
-                    redrawn = True
-            if redrawn:
-                envs = _environments(psi, work, k)
-                env = next(envs)
-                norms = np.linalg.norm(env, axis=1)
-            still_bad = norms < _DEGENERATE_NORM
-            safe = np.where(still_bad, 1.0, norms)
-            work[:, k] = env / safe[:, None]
-            work[still_bad, k] = np.array([1.0, 0.0], dtype=complex)
+            work[:, k] = env / norms[:, None]
         factors[active] = work
-        swept = np.where(still_bad, 0.0, norms**2)
+        swept = norms**2
         settled = np.abs(swept - fidelities[active]) < cfg.tolerance
         fidelities[active] = swept
         if np.max(fidelities) >= ceiling - cfg.tolerance:

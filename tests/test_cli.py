@@ -1,14 +1,20 @@
 """CLI tests driven through main() plus one end-to-end subprocess check."""
 
+import contextlib
+import io
+import itertools
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from graphent.catalog import catalog_get, serialize_edge_list
+from graphent import cli
+from graphent.catalog import CatalogEntry, all_entries, catalog_get, serialize_edge_list
 from graphent.cli import main
+from graphent.graphs import make_graph
 
 
 def run(capsys, *argv):
@@ -281,6 +287,25 @@ def test_verify_catalog_budget_exceeded(capsys):
     assert "budget exceeded" in out
 
 
+def test_verify_catalog_lc_pairwise_reports_shared_orbits(monkeypatch):
+    # K4 is LC-equivalent to the star on 4 vertices (id 3) but isomorphic
+    # to no catalog entry, so only the orbit check fails.
+    entries = all_entries()
+    k4 = CatalogEntry(46, make_graph(4, list(itertools.combinations(range(1, 5), 2))))
+    monkeypatch.setattr(cli, "all_entries", lambda: entries + [k4])
+    args = cli.build_parser().parse_args(["verify-catalog", "--lc-pairwise"])
+    code, render = args.func(args)
+    assert code == 1
+    lines = render("table").splitlines()
+    assert [line[:6] for line in lines[:4]] == ["PASS  "] * 4
+    assert lines[4:] == ["FAIL  lc-pairwise: shared orbits: [(3, 46)]",
+                         "catalog verification FAILED"]
+    payload = render("json")
+    assert [c["passed"] for c in payload["checks"]] == [True] * 4 + [False]
+    assert payload["checks"][-1]["detail"] == "shared orbits: [(3, 46)]"
+    assert payload["passed"] is False
+
+
 def run_both(tmp_path, capsys, *argv):
     """Run argv to stdout and again with --out; the bytes must agree."""
     dest = tmp_path / "out"
@@ -329,6 +354,39 @@ def test_verify_catalog_failure_still_reports(tmp_path, capsys, fmt):
         assert out.count("\n") == 6
 
 
+# Text output of the see-saw's commands, byte for byte: the GEM of the
+# 8 ids that reach the see-saw at seeds 0 and 7, and the GEM classes and
+# RP table built from them. JSON is left out, since its last digits
+# depend on the numpy/BLAS build. Regenerate from known-good code with
+# PYTHONPATH=src python3 tests/test_cli.py
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN_COMMANDS = [
+    f"gem --graph {gid} --seed {seed}"
+    for gid in (8, 19, 39, 40, 41, 42, 44, 45) for seed in (0, 7)
+] + [
+    "classify --measure gem --seed 7 --format csv",
+    "rp-table --seed 7",
+    "rp-table --seed 7 --format csv",
+]
+
+
+def stdout_of(command: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(command.split()) == 0, command
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_cli_text_matches_golden_bytes(golden, command):
+    assert stdout_of(command) == golden[command]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graphent.cli", "gcm", "--graph", "44"],
@@ -336,3 +394,8 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "GCM = 1.75891\n"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({c: stdout_of(c) for c in GOLDEN_COMMANDS}, indent=1) + "\n")

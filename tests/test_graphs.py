@@ -73,6 +73,10 @@ def test_make_graph_rejects_bad_input():
         make_graph(0, [])
     with pytest.raises(ValueError):
         make_graph(17, [])
+    with pytest.raises(ValueError, match="not a vertex pair"):
+        make_graph(3, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="non-integer"):
+        make_graph(3, [(1, 2.0)])
 
 
 def test_neighbors():
@@ -202,6 +206,12 @@ def test_path_vs_star_not_isomorphic():
     assert find_isomorphism(path, star) is None
 
 
+def test_find_isomorphism_needs_equal_counts():
+    path = make_graph(4, [(1, 2), (2, 3), (3, 4)])
+    assert find_isomorphism(path, make_graph(5, [(1, 2), (2, 3), (3, 4)])) is None
+    assert find_isomorphism(path, make_graph(4, [(1, 2), (2, 3)])) is None
+
+
 @pytest.mark.parametrize("edges, budget", [
     # The Clebsch graph (folded 5-cube): 1920 automorphisms, no twins.
     ([(a + 1, b + 1) for a, b in itertools.combinations(range(16), 2)
@@ -273,6 +283,8 @@ def test_orbit_budget_exceeded():
     g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
     with pytest.raises(OrbitBudgetExceeded):
         lc_orbit(g, max_size=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        lc_orbit(g, max_size=0)
 
 
 def test_lc_equivalence_path_star():

@@ -172,6 +172,8 @@ def test_gcm_rejects_single_qubit():
         gcm(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         gcm(make_graph(1, []))
+    with pytest.raises(ValueError, match="zero norm"):
+        gcm(np.zeros(4))
 
 
 def test_gcm_deterministic():
@@ -208,6 +210,8 @@ def test_product_state_vector_and_fidelity():
     assert product_fidelity(psi, phi) == pytest.approx(0.0, abs=1e-15)
     aligned = ProductState((np.array([1.0, 0.0]), np.array([1.0, 0.0])))
     assert product_fidelity(psi, aligned) == pytest.approx(0.5, abs=1e-15)
+    with pytest.raises(ValueError, match="product state needs 4"):
+        product_fidelity(ghz(3), phi)
 
 
 def test_see_saw_step_fixed_point_on_product_state():
@@ -242,6 +246,16 @@ def test_see_saw_sweep_on_ghz_from_aligned_start():
     for k in (1, 2, 3):
         phi = see_saw_step(psi, phi, k)
     assert product_fidelity(psi, phi) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_see_saw_step_validation():
+    psi = ghz(3)
+    phi = random_product_state(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match="product state has 2"):
+        see_saw_step(psi, ProductState(phi.factors[:2]), 1)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"qubit {k} out of range"):
+            see_saw_step(psi, phi, k)
 
 
 def test_see_saw_step_degenerate_contraction():
@@ -540,6 +554,8 @@ def test_brute_force_gem_pole_aligned_product_state():
 def test_brute_force_gem_rejects_large_systems():
     with pytest.raises(ValueError):
         brute_force_gem(plus_state(4))
+    with pytest.raises(ValueError, match="grid_density"):
+        brute_force_gem(ghz(2), grid_density=1)
 
 
 def test_gem_value_bounds_random_states():
@@ -576,3 +592,68 @@ def test_gem_redraws_a_degenerate_start(monkeypatch):
     assert redrawn.value == direct.value
     assert redrawn.value == pytest.approx(0.5, abs=1e-12)
     assert redrawn.diagnostics.iterations == direct.diagnostics.iterations
+
+
+def test_gem_start_degenerate_through_every_redraw_raises(monkeypatch):
+    # Every draw of restart 0 is |0>|1>|0>, orthogonal to both GHZ
+    # branches: after _MAX_REDRAWS redraws gem gives up and names it.
+    from graphent import measures
+
+    attempts = []
+
+    def always_degenerate(seed, restart, n, attempt=0):
+        attempts.append(attempt)
+        return np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+
+    monkeypatch.setattr(measures, "_draw_factors", always_degenerate)
+    with pytest.raises(DegenerateContractionError, match="restart 0"):
+        gem(ghz(3), GemConfig(restarts=1, seed=0))
+    assert attempts == list(range(measures._MAX_REDRAWS + 1))
+
+
+def test_gem_contractions_never_fall_below_the_start(monkeypatch):
+    # A see-saw update never lowers the fidelity, and each contraction's
+    # squared norm is at least the fidelity before it, so no contraction
+    # in the sweeps falls below the smallest one at the start. This is
+    # why gem checks for degenerate contractions only before sweep 1.
+    from graphent import measures
+
+    environments = measures._environments
+    calls = []
+
+    def recording(psi, factors):
+        calls.append([])
+        for env in environments(psi, factors):
+            calls[-1].append(np.linalg.norm(env, axis=1))
+            yield env
+
+    monkeypatch.setattr(measures, "_environments", recording)
+
+    def check(state, cfg):
+        calls.clear()
+        gem(state, cfg)
+        # The first call is the start check; sweep 1 is the second.
+        start, sweeps = calls[0][0], [x for c in calls[1:] for x in c]
+        assert len(calls) > 1
+        assert np.min(np.concatenate(sweeps)) >= np.min(start) * (1 - 1e-12)
+
+    for gid in (8, 19, 39, 40, 41, 42, 44, 45):
+        for seed in (0, 7):
+            check(catalog_get(gid).graph, GemConfig(seed=seed))
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def states(draw):
+        n = draw(st.integers(2, 6))
+        parts = st.floats(-1.0, 1.0, allow_nan=False)
+        raw = draw(st.lists(parts, min_size=2 ** (n + 1), max_size=2 ** (n + 1)))
+        psi = np.array(raw[::2]) + 1j * np.array(raw[1::2])
+        hypothesis.assume(np.linalg.norm(psi) > 1e-6)
+        return psi
+
+    settings = hypothesis.settings(max_examples=30, deadline=None, database=None,
+                                   derandomize=True)
+    settings(hypothesis.given(states())(
+        lambda psi: check(psi, GemConfig(restarts=8, seed=3))))()

@@ -67,6 +67,9 @@ def test_plus_state():
         assert s.shape == (2**n,)
         assert np.allclose(s, 2.0 ** (-n / 2.0))
         assert abs(np.vdot(s, s) - 1.0) < 1e-12
+    for n in (0, 17):
+        with pytest.raises(ValueError, match="qubit count"):
+            plus_state(n)
 
 
 def test_apply_cz_two_qubits():
@@ -181,6 +184,18 @@ def test_apply_local_unitary_rejects_non_unitary():
         apply_local_unitary(state, np.array([[1.0, 0.0], [0.0, 2.0]]), 1)
     with pytest.raises(ValueError):
         apply_local_unitary(state, np.eye(3), 1)
+
+
+def test_qubit_and_vertex_checks():
+    g = make_graph(3, [(1, 2), (2, 3)])
+    psi = build_graph_state(g)
+    with pytest.raises(ValueError, match="qubit 4 out of range for n=3"):
+        apply_local_unitary(psi, np.eye(2), 4)
+    for apply in (lc_unitary_apply, stabilizer_expectation):
+        with pytest.raises(ValueError, match="state has 2 qubits but graph has 3"):
+            apply(plus_state(2), g, 1)
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            apply(psi, g, 4)
 
 
 def test_apply_local_unitary_matches_dense_kron():
