@@ -1,13 +1,15 @@
 """Undirected simple graphs on labeled vertices.
 
-Construction, isomorphism testing, independence number, GF(2)
-cut-ranks, local complementation, and local-complementation orbits
-modulo isomorphism. Isomorphism goes through one canonical form, the
-lexicographically least sorted edge list, found by an ordered-partition
-search rather than a scan of the n! labelings. One breadth-first search
-serves both the orbit enumeration (lc_orbit) and the equivalence test
-(are_lc_equivalent), which stops at its target. Vertices are 1-indexed
-everywhere in the public interface.
+A Graph stores one neighbourhood bitmask per vertex (see Graph). Its
+sorted edge list, Graph.edges, is derived from them and is read here
+only to print, order or count edges. Construction, isomorphism testing,
+independence number, GF(2) cut-ranks, local complementation, and
+local-complementation orbits modulo isomorphism. Isomorphism goes
+through one canonical form, the lexicographically least sorted edge
+list, found by an ordered-partition search rather than a scan of the n!
+labelings. One breadth-first search serves both the orbit enumeration
+(lc_orbit) and the equivalence test (are_lc_equivalent), which stops at
+its target. Vertices are 1-indexed everywhere in the public interface.
 
 The cut-rank of a vertex subset A is the rank over GF(2) of the
 adjacency block between A and its complement. The graph state |G> has
@@ -18,7 +20,6 @@ cut, gives the subsystem purities of |G> without a statevector.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,15 +34,26 @@ class OrbitBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count plus a canonical edge tuple.
+    """Simple undirected graph, stored as neighbourhood bitmasks.
 
-    Edges are stored with each pair sorted and the pairs sorted
-    lexicographically. Build instances through make_graph, which
-    validates and normalizes raw edge lists.
+    adj[v - 1] has bit u - 1 set when vertices u and v are adjacent, so
+    the vertex count is len(adj) and equal graphs have equal masks. The
+    constructor is Graph(adj) and does not validate; build instances
+    through make_graph, which checks and converts raw edge lists.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    adj: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (i, j) with i < j, in lexicographic order,
+        derived from adj."""
+        return tuple((v + 1, u + 1) for v, nb in enumerate(self.adj)
+                     for u in range(v + 1, self.n) if nb >> u & 1)
 
     def __repr__(self):
         pairs = ", ".join(f"{{{i},{j}}}" for i, j in self.edges)
@@ -67,15 +79,21 @@ class LcOrbit:
         return sorted(self.representatives, key=lambda g: (g.n, g.edges))
 
 
+def _is_int(a) -> bool:
+    """True if a is an int but not a bool, the one type a vertex (or a
+    vertex count) may have: True would otherwise pass as vertex 1."""
+    return isinstance(a, int) and not isinstance(a, bool)
+
+
 def make_graph(n: int, edges) -> Graph:
-    """Build a validated, canonically stored graph.
+    """Build a validated graph from a raw edge list.
 
     Accepts any iterable of 2-element vertex pairs (tuples, lists or
     sets); duplicate edges collapse and pair order is normalized.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+    if not _is_int(n) or not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
-    normalized = set()
+    adj = [0] * n
     for raw in edges:
         pair = tuple(raw)
         if len(pair) == 1:
@@ -83,26 +101,21 @@ def make_graph(n: int, edges) -> Graph:
         if len(pair) != 2:
             raise ValueError(f"edge {raw!r} is not a vertex pair")
         i, j = pair
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise ValueError(f"edge {raw!r} has non-integer endpoints")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"edge {raw!r} out of range for n={n}")
-        normalized.add((min(i, j), max(i, j)))
-    return Graph(n, tuple(sorted(normalized)))
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return Graph(tuple(adj))
 
 
 def neighbors(g: Graph, a: int) -> set[int]:
     """All vertices adjacent to a."""
     _check_vertex(g, a)
-    out = set()
-    for i, j in g.edges:
-        if i == a:
-            out.add(j)
-        elif j == a:
-            out.add(i)
-    return out
+    return {u + 1 for u in range(g.n) if g.adj[a - 1] >> u & 1}
 
 
 def local_complement(g: Graph, a: int) -> Graph:
@@ -112,57 +125,41 @@ def local_complement(g: Graph, a: int) -> Graph:
     neighborhood, are untouched. Applying the move twice at the same
     vertex returns the original graph.
     """
-    nb = sorted(neighbors(g, a))
-    edge_set = set(g.edges)
-    for u, v in itertools.combinations(nb, 2):
-        pair = (u, v)
-        if pair in edge_set:
-            edge_set.remove(pair)
-        else:
-            edge_set.add(pair)
-    return Graph(g.n, tuple(sorted(edge_set)))
+    _check_vertex(g, a)
+    nb = g.adj[a - 1]
+    # Each neighbour v toggles its adjacency to every other neighbour.
+    return Graph(tuple(m ^ (nb & ~(1 << v)) if nb >> v & 1 else m
+                       for v, m in enumerate(g.adj)))
 
 
 def relabel(g: Graph, perm) -> Graph:
     """Apply a vertex permutation; perm[v-1] is the image of vertex v."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(1, g.n + 1)):
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, g.n + 1)):
         raise ValueError(f"not a bijection on 1..{g.n}: {perm!r}")
-    edges = tuple(
-        sorted(
-            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-            for i, j in g.edges
-        )
-    )
-    return Graph(g.n, edges)
+    image = [1 << (p - 1) for p in perm]
+    adj = [0] * g.n
+    for v, nb in enumerate(g.adj):
+        row = 0  # the images of v's neighbours, taken one low bit at a time
+        while nb:
+            low = nb & -nb
+            row |= image[low.bit_length() - 1]
+            nb ^= low
+        adj[perm[v] - 1] = row
+    return Graph(tuple(adj))
 
 
 def is_connected(g: Graph) -> bool:
     """True if every vertex is reachable from vertex 1."""
-    if g.n == 1:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    """Entry v - 1 is vertex v's neighbourhood as a bitmask, bit u - 1
-    standing for vertex u."""
-    adj = [0] * g.n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
-    return adj
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        for v, nb in enumerate(g.adj):
+            if frontier >> v & 1:
+                reached |= nb
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def cut_rank_histogram(g: Graph) -> np.ndarray:
@@ -177,12 +174,11 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
     int64 values.
     """
     n = g.n
-    adj = _adjacency_masks(g)
     subsets = np.arange(1, 1 << (n - 1), dtype=np.int64)
     outside = ~subsets
     basis = np.zeros((n, subsets.size), dtype=np.int64)
     for v in range(n - 1):
-        row = np.where((subsets >> v) & 1 == 1, outside & adj[v], 0)
+        row = np.where((subsets >> v) & 1 == 1, outside & g.adj[v], 0)
         for b in range(n - 1, -1, -1):
             hit = (row >> b) & 1 == 1
             # An empty slot takes the row; either way the row then
@@ -200,16 +196,14 @@ def independence_number(g: Graph) -> int:
     Taking v drops at least two vertices and skipping it one, so the
     calls grow at most as the Fibonacci numbers, under 4200 at n = 16.
     """
-    adj = _adjacency_masks(g)
-
     def alpha(left: int) -> int:
         if not left:
             return 0
         v = (left & -left).bit_length() - 1
         rest = left & ~(1 << v)
-        if not adj[v] & rest:
+        if not g.adj[v] & rest:
             return 1 + alpha(rest)
-        return max(1 + alpha(rest & ~adj[v]), alpha(rest))
+        return max(1 + alpha(rest & ~g.adj[v]), alpha(rest))
 
     return alpha((1 << g.n) - 1)
 
@@ -230,7 +224,7 @@ def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     (McKay & Piperno, J. Symb. Comput. 60 (2014)).
     """
     n = g.n
-    adj = _adjacency_masks(g)
+    adj = g.adj
     # twins[u]: the lower-numbered twins of u, as a bitmask.
     twins = [0] * n
     for u in range(n):
@@ -286,7 +280,7 @@ def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
         return None
     c1, p1 = _canonical_with_perm(g1)
     c2, p2 = _canonical_with_perm(g2)
-    if c1.edges != c2.edges:
+    if c1 != c2:
         return None
     inv2 = [0] * g2.n
     for v in range(1, g2.n + 1):
@@ -356,5 +350,5 @@ def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
 
 
 def _check_vertex(g: Graph, a) -> None:
-    if not isinstance(a, int) or not 1 <= a <= g.n:
+    if not _is_int(a) or not 1 <= a <= g.n:
         raise ValueError(f"vertex {a!r} out of range for n={g.n}")

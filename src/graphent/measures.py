@@ -39,12 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphent.graphs import MAX_VERTICES, Graph, cut_rank_histogram, independence_number
-from graphent.reductions import (
-    _smaller_gram,
-    _split_matrix,
-    _subset,
-    subset_purity,
-)
+from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state, num_qubits
 
 _TIE_TOL = 1e-9
@@ -385,12 +380,7 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     top Schmidt weight, so this is exact for 2 qubits and a lower bound
     on the geometric measure otherwise.
     """
-    n, keep = _subset(state, cut)
-    if len(keep) == n:
-        raise ValueError(f"cut must be a proper subset, got {keep!r}")
-    gram = _smaller_gram(_split_matrix(_normalized(state), keep, n))
-    lam = float(np.linalg.eigvalsh(gram)[-1])
-    return 1.0 - min(lam, 1.0)
+    return 1.0 - min(top_schmidt_weight(_normalized(state), cut), 1.0)
 
 
 def _bloch_grid(density: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Reduced density matrices and subsystem purities of statevectors.
+"""Reduced density matrices, subsystem purities and top Schmidt weights
+of statevectors.
 
 A subsystem is given as a collection of 1-indexed qubit labels and its
 reduction is formed from the state's amplitudes; the full density
@@ -69,6 +70,16 @@ def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
     n, keep = _subset(state, keep)
     gram = _smaller_gram(_split_matrix(state, keep, n))
     return float(np.sum(np.abs(gram) ** 2))
+
+
+def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
+    """The largest eigenvalue of the reduction onto cut, a proper subset
+    of the qubits: for a normalized state, its top Schmidt weight across
+    that bipartition. Taken from the Gram matrix on the smaller side."""
+    n, keep = _subset(state, cut)
+    if len(keep) == n:
+        raise ValueError(f"cut must be a proper subset, got {keep!r}")
+    return float(np.linalg.eigvalsh(_smaller_gram(_split_matrix(state, keep, n)))[-1])
 
 
 def _smaller_gram(m: np.ndarray) -> np.ndarray:

@@ -56,6 +56,68 @@ def _relabelings(n):
     return perms, weight
 
 
+def edge_list_neighbors(g, a):
+    return {j for i, j in g.edges if i == a} | {i for i, j in g.edges if j == a}
+
+
+def edge_set_local_complement(g, a):
+    """Local complementation on an edge set, the reference for the
+    bitmask version: toggle every pair of a's neighbours."""
+    edge_set = set(g.edges)
+    for pair in itertools.combinations(sorted(edge_list_neighbors(g, a)), 2):
+        edge_set ^= {pair}
+    return tuple(sorted(edge_set))
+
+
+def edge_sorting_relabel(g, perm):
+    """Relabeled edges, each pair and then the list sorted."""
+    return tuple(sorted(
+        (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
+        for i, j in g.edges
+    ))
+
+
+def dict_of_sets_is_connected(g):
+    """Depth-first search from vertex 1 over adjacency sets."""
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def test_bitmask_operations_match_edge_list_oracles():
+    def check(g):
+        assert list(g.edges) == sorted(g.edges)
+        assert all(i < j for i, j in g.edges)
+        assert make_graph(g.n, g.edges) == g
+        assert is_connected(g) == dict_of_sets_is_connected(g)
+        perm = list(range(1, g.n + 1))
+        random.Random(len(g.edges)).shuffle(perm)
+        # Whole graphs are compared, so a stray bit that no edge shows
+        # (such as a self-loop) fails too.
+        assert relabel(g, perm) == make_graph(g.n, edge_sorting_relabel(g, perm))
+        for a in range(1, g.n + 1):
+            assert neighbors(g, a) == edge_list_neighbors(g, a)
+            moved = make_graph(g.n, edge_set_local_complement(g, a))
+            assert local_complement(g, a) == moved
+
+    for_random_graphs(check, 16)
+    # The derandomized draws stop short of n = 16, so bit 15 is covered here,
+    # from sparse (disconnected) to dense.
+    rng = random.Random(16)
+    for density in (0.05, 0.15, 0.5, 0.9):
+        check(make_graph(16, [p for p in itertools.combinations(range(1, 17), 2)
+                              if rng.random() < density]))
+
+
 def test_make_graph_normalizes():
     g = make_graph(3, [(2, 1), (1, 3), (3, 1)])
     assert g.edges == ((1, 2), (1, 3))
@@ -77,6 +139,10 @@ def test_make_graph_rejects_bad_input():
         make_graph(3, [(1, 2, 3)])
     with pytest.raises(ValueError, match="non-integer"):
         make_graph(3, [(1, 2.0)])
+    with pytest.raises(ValueError, match="non-integer"):
+        make_graph(3, [(True, 2)])
+    with pytest.raises(ValueError, match="vertex count"):
+        make_graph(True, [])
 
 
 def test_neighbors():
@@ -84,8 +150,9 @@ def test_neighbors():
     assert neighbors(g, 2) == {1, 3, 4}
     assert neighbors(g, 1) == {2}
     assert neighbors(g, 4) == {2}
-    with pytest.raises(ValueError):
-        neighbors(g, 5)
+    for bad in (5, 0, True, 2.0):
+        with pytest.raises(ValueError, match="out of range"):
+            neighbors(g, bad)
 
 
 def test_local_complement_triangle():
@@ -121,8 +188,9 @@ def test_relabel_roundtrip():
     for v in range(1, 5):
         inv[perm[v - 1] - 1] = v
     assert relabel(h, tuple(inv)) == g
-    with pytest.raises(ValueError):
-        relabel(g, (1, 1, 2, 3))
+    for bad in ((1, 1, 2, 3), (2.0, 1.0, 3.0, 4.0), (True, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            relabel(g, bad)
 
 
 def test_is_connected():
@@ -334,3 +402,5 @@ def test_graph_hashable_and_frozen():
     assert g in {g}
     with pytest.raises(Exception):
         g.n = 3  # type: ignore[misc]
+    with pytest.raises(Exception):
+        g.adj = (0, 0)  # type: ignore[misc]

@@ -1,8 +1,8 @@
 """Source-layout rules for src/graphent, checked with the stdlib ast module.
 
 Every imported name is used (the package __init__ re-exports, so it is
-exempt), graphent modules import each other at module level only, and
-those imports form no cycle.
+exempt), graphent modules import each other at module level only and
+only by public names, and those imports form no cycle.
 """
 
 import ast
@@ -48,6 +48,15 @@ def test_graphent_imports_are_module_level():
     local = {name: _graphent_imports(ast.walk(tree)) - _graphent_imports(tree.body)
              for name, tree in MODULES.items()}
     assert not any(local.values()), f"function-local graphent imports: {local}"
+
+
+def test_graphent_imports_are_public_names():
+    private = [f"{name}.py:{node.lineno} {node.module}.{a.name}"
+               for name, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("graphent.")
+               for a in node.names if a.name.startswith("_")]
+    assert not private, f"underscore names imported from another module: {private}"
 
 
 def test_graphent_import_graph_has_no_cycle():

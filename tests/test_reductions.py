@@ -11,6 +11,7 @@ from graphent.reductions import (
     partial_trace,
     purity,
     subset_purity,
+    top_schmidt_weight,
 )
 from graphent.states import build_graph_state
 
@@ -99,6 +100,19 @@ def test_subset_purity_matches_dense_path():
         )
 
 
+def test_top_schmidt_weight_matches_dense_path():
+    rng = np.random.default_rng(47)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        psi = random_state(rng, n)
+        r = int(rng.integers(1, n))
+        keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
+        comp = tuple(q for q in range(1, n + 1) if q not in keep)
+        dense = np.linalg.eigvalsh(partial_trace(psi, keep))[-1]
+        assert top_schmidt_weight(psi, keep) == pytest.approx(dense, abs=1e-12)
+        assert top_schmidt_weight(psi, comp) == pytest.approx(dense, abs=1e-12)
+
+
 def test_subset_purity_complement_symmetry():
     rng = np.random.default_rng(59)
     for _ in range(15):
@@ -149,6 +163,9 @@ def test_subset_validation():
         partial_trace(psi, [1, 1])
     with pytest.raises(ValueError):
         partial_trace(psi, [3])
+    for cut in ([], [1, 1], [3], [1, 2]):
+        with pytest.raises(ValueError):
+            top_schmidt_weight(psi, cut)
 
 
 def test_cut_rank_histogram_is_lc_and_relabel_invariant():
