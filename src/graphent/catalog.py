@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from graphent.graphs import Graph, make_graph
@@ -70,9 +69,6 @@ _TABLE = {
     45: (7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7), (2, 7), (2, 5),
              (4, 6)), 1.75000, 0.93428),
 }
-
-# classes per vertex count: the catalog holds one representative per class
-CANONICAL_CLASS_COUNTS = dict(Counter(n for n, *_ in _TABLE.values()))
 
 
 @dataclass(frozen=True)

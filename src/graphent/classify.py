@@ -6,27 +6,22 @@ says how well a measure distinguishes inequivalent graphs:
 
     RP = 100 * eta_measure / eta_kappa
 
-Per-vertex-count tables regroup within each n; a cumulative table
-groups all 45 catalog graphs jointly.
+Per-vertex-count rows regroup within each n and a cumulative row groups
+all catalog graphs jointly. eta_kappa is counted from the catalog
+entries themselves, which hold one representative per canonical class.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from graphent.catalog import (
-    CANONICAL_CLASS_COUNTS,
-    all_entries,
-    catalog_size,
-    ids_with_n,
-)
+from graphent.catalog import all_entries
 from graphent.measures import GemConfig, gcm, gem
 
 DEFAULT_GROUPING_TOL = 1e-4
-_CUMULATIVE_LABEL = f"up to {max(CANONICAL_CLASS_COUNTS)}"
 
 
 @dataclass(frozen=True)
@@ -52,6 +47,9 @@ class ClassificationReport:
     classes: tuple[MeasureClass, ...]
     per_n: tuple[RpEntry, ...]
     cumulative: RpEntry
+
+
+RpTable = tuple[ClassificationReport, ClassificationReport]
 
 
 def group_by_value(values, tol: float = DEFAULT_GROUPING_TOL) -> list[MeasureClass]:
@@ -95,15 +93,24 @@ def rp_fraction(eta_measure: int, eta_kappa: int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _rp_entry(n: int | None, eta_measure: int, eta_kappa: int) -> RpEntry:
+    return RpEntry(n, eta_measure, eta_kappa, resolution_power(eta_measure, eta_kappa))
+
+
+def _measure_kind(kind: str) -> str:
+    kind = kind.upper()
+    if kind not in ("GCM", "GEM"):
+        raise ValueError(f"unknown measure kind {kind!r}")
+    return kind
+
+
 def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, float]]:
     """(id, value) for all catalog graphs under one measure.
 
     The geometric measure runs with the same config (and so the same
     restart streams) for every graph; values are deterministic per seed.
     """
-    kind = kind.upper()
-    if kind not in ("GCM", "GEM"):
-        raise ValueError(f"unknown measure kind {kind!r}")
+    kind = _measure_kind(kind)
     measure = gcm if kind == "GCM" else lambda g: gem(g, cfg)
     return [(e.id, measure(e.graph).value) for e in all_entries()]
 
@@ -114,51 +121,49 @@ def build_report(kind: str, cfg: GemConfig | None = None,
     """Full classification: cumulative classes plus per-n regrouping.
 
     Precomputed (id, value) pairs can be passed to avoid re-measuring.
+    A row's eta_kappa is its number of catalog entries.
     """
-    kind = kind.upper()
+    kind = _measure_kind(kind)
     if values is None:
         values = measure_values(kind, cfg)
+    entries = all_entries()
     by_id = dict(values)
-    if set(by_id) != {e.id for e in all_entries()}:
+    if set(by_id) != {e.id for e in entries}:
         raise ValueError("values must cover exactly the catalog ids")
-    per_n = []
-    for n, kappa in sorted(CANONICAL_CLASS_COUNTS.items()):
-        eta = len(group_by_value([(g, by_id[g]) for g in ids_with_n(n)], tol))
-        per_n.append(RpEntry(n, eta, kappa, resolution_power(eta, kappa)))
+    by_n: dict[int, list[tuple[int, float]]] = {}
+    for e in entries:
+        by_n.setdefault(e.n, []).append((e.id, by_id[e.id]))
     classes = tuple(group_by_value(values, tol))
-    eta_all = len(classes)
-    cumulative = RpEntry(None, eta_all, catalog_size(),
-                         resolution_power(eta_all, catalog_size()))
     return ClassificationReport(
         measure_kind=kind,
         classes=classes,
-        per_n=tuple(per_n),
-        cumulative=cumulative,
+        per_n=tuple(_rp_entry(n, len(group_by_value(group, tol)), len(group))
+                    for n, group in sorted(by_n.items())),
+        cumulative=_rp_entry(None, len(classes), len(entries)),
     )
+
+
+def _rp_rows(report: ClassificationReport):
+    """(table label, csv label, entry) for each n, then the cumulative row."""
+    for e in report.per_n:
+        yield str(e.n), str(e.n), e
+    yield f"up to {report.per_n[-1].n}", "all", report.cumulative
+
+
+def _rp_text(e: RpEntry) -> str:
+    return f"{e.rp:.2f} ({rp_fraction(e.eta_measure, e.eta_kappa)})"
 
 
 def report_to_dict(report: ClassificationReport) -> dict:
     """JSON-ready form with a fixed key order."""
+    *per_n, cumulative = [asdict(e) for *_, e in _rp_rows(report)]
+    del cumulative["n"]
     return {
         "measure": report.measure_kind,
-        "classes": [
-            {"index": c.class_index, "value": c.value, "members": list(c.members)}
-            for c in report.classes
-        ],
-        "per_n": [
-            {
-                "n": e.n,
-                "eta_measure": e.eta_measure,
-                "eta_kappa": e.eta_kappa,
-                "rp": e.rp,
-            }
-            for e in report.per_n
-        ],
-        "cumulative": {
-            "eta_measure": report.cumulative.eta_measure,
-            "eta_kappa": report.cumulative.eta_kappa,
-            "rp": report.cumulative.rp,
-        },
+        "classes": [{"index": c.class_index, "value": c.value, "members": list(c.members)}
+                    for c in report.classes],
+        "per_n": per_n,
+        "cumulative": cumulative,
     }
 
 
@@ -170,16 +175,8 @@ def render_report_text(report: ClassificationReport) -> str:
         lines.append(f"{c.class_index:>5}  {c.value:>8.5f}  {members}")
     lines.append("")
     lines.append(f"{'n':>8}  {'classes':>7}  {'canonical':>9}  RP")
-    for e in report.per_n:
-        lines.append(
-            f"{e.n:>8}  {e.eta_measure:>7}  {e.eta_kappa:>9}  "
-            f"{e.rp:.2f} ({rp_fraction(e.eta_measure, e.eta_kappa)})"
-        )
-    c = report.cumulative
-    lines.append(
-        f"{_CUMULATIVE_LABEL:>8}  {c.eta_measure:>7}  {c.eta_kappa:>9}  "
-        f"{c.rp:.2f} ({rp_fraction(c.eta_measure, c.eta_kappa)})"
-    )
+    for label, _, e in _rp_rows(report):
+        lines.append(f"{label:>8}  {e.eta_measure:>7}  {e.eta_kappa:>9}  {_rp_text(e)}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,68 +188,42 @@ def render_report_csv(report: ClassificationReport) -> str:
         w.writerow([c.class_index, f"{c.value:.5f}", " ".join(map(str, c.members))])
     w.writerow([])
     w.writerow(["n", "eta_measure", "eta_kappa", "rp"])
-    for e in report.per_n:
-        w.writerow([e.n, e.eta_measure, e.eta_kappa, repr(e.rp)])
-    c = report.cumulative
-    w.writerow(["all", c.eta_measure, c.eta_kappa, repr(c.rp)])
+    for _, label, e in _rp_rows(report):
+        w.writerow([label, e.eta_measure, e.eta_kappa, repr(e.rp)])
     return buf.getvalue()
 
 
 def build_rp_table(cfg: GemConfig | None = None,
-                   tol: float = DEFAULT_GROUPING_TOL) -> dict:
-    """Both measures side by side, per n and cumulative."""
-    gcm_report = build_report("GCM", cfg, tol)
-    gem_report = build_report("GEM", cfg, tol)
-    rows = []
-    for a, b in zip(gcm_report.per_n, gem_report.per_n):
-        rows.append(
-            {
-                "n": a.n,
-                "eta_gcm": a.eta_measure,
-                "eta_gem": b.eta_measure,
-                "eta_kappa": a.eta_kappa,
-                "rp_gcm": a.rp,
-                "rp_gem": b.rp,
-            }
-        )
-    ca, cb = gcm_report.cumulative, gem_report.cumulative
-    return {
-        "per_n": rows,
-        "cumulative": {
-            "eta_gcm": ca.eta_measure,
-            "eta_gem": cb.eta_measure,
-            "eta_kappa": ca.eta_kappa,
-            "rp_gcm": ca.rp,
-            "rp_gem": cb.rp,
-        },
-    }
+                   tol: float = DEFAULT_GROUPING_TOL) -> RpTable:
+    """The GCM and the GEM report, shown side by side as the rp-table."""
+    return build_report("GCM", cfg, tol), build_report("GEM", cfg, tol)
 
 
-def render_rp_table_text(table: dict) -> str:
-    head = (f"{'n':>7}  {'eta_GCM':>7}  {'eta_GEM':>7}  {'eta_kappa':>9}  "
-            f"{'RP_GCM':>14}  {'RP_GEM':>14}")
-    lines = [head]
+def rp_table_to_dict(table: RpTable) -> dict:
+    """JSON-ready form with a fixed key order."""
+    *per_n, cumulative = [
+        {"n": a.n, "eta_gcm": a.eta_measure, "eta_gem": b.eta_measure,
+         "eta_kappa": a.eta_kappa, "rp_gcm": a.rp, "rp_gem": b.rp}
+        for (*_, a), (*_, b) in zip(*map(_rp_rows, table))
+    ]
+    del cumulative["n"]
+    return {"per_n": per_n, "cumulative": cumulative}
 
-    def fmt(row, label) -> str:
-        rp_g = f"{row['rp_gcm']:.2f} ({rp_fraction(row['eta_gcm'], row['eta_kappa'])})"
-        rp_e = f"{row['rp_gem']:.2f} ({rp_fraction(row['eta_gem'], row['eta_kappa'])})"
-        return (f"{label:>7}  {row['eta_gcm']:>7}  {row['eta_gem']:>7}  "
-                f"{row['eta_kappa']:>9}  {rp_g:>14}  {rp_e:>14}")
 
-    for row in table["per_n"]:
-        lines.append(fmt(row, str(row["n"])))
-    lines.append(fmt(table["cumulative"], _CUMULATIVE_LABEL))
+def render_rp_table_text(table: RpTable) -> str:
+    lines = [f"{'n':>7}  {'eta_GCM':>7}  {'eta_GEM':>7}  {'eta_kappa':>9}  "
+             f"{'RP_GCM':>14}  {'RP_GEM':>14}"]
+    for (label, _, a), (*_, b) in zip(*map(_rp_rows, table)):
+        lines.append(f"{label:>7}  {a.eta_measure:>7}  {b.eta_measure:>7}  "
+                     f"{a.eta_kappa:>9}  {_rp_text(a):>14}  {_rp_text(b):>14}")
     return "\n".join(lines) + "\n"
 
 
-def render_rp_table_csv(table: dict) -> str:
+def render_rp_table_csv(table: RpTable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "eta_gcm", "eta_gem", "eta_kappa", "rp_gcm", "rp_gem"])
-    for row in table["per_n"]:
-        w.writerow([row["n"], row["eta_gcm"], row["eta_gem"], row["eta_kappa"],
-                    repr(row["rp_gcm"]), repr(row["rp_gem"])])
-    c = table["cumulative"]
-    w.writerow(["all", c["eta_gcm"], c["eta_gem"], c["eta_kappa"],
-                repr(c["rp_gcm"]), repr(c["rp_gem"])])
+    for (_, label, a), (*_, b) in zip(*map(_rp_rows, table)):
+        w.writerow([label, a.eta_measure, b.eta_measure, a.eta_kappa,
+                    repr(a.rp), repr(b.rp)])
     return buf.getvalue()

@@ -42,6 +42,7 @@ from graphent.classify import (
     render_rp_table_csv,
     render_rp_table_text,
     report_to_dict,
+    rp_table_to_dict,
 )
 from graphent.graphs import (
     Graph,
@@ -178,7 +179,7 @@ def cmd_classify(args) -> Result:
 
 def cmd_rp_table(args) -> Result:
     table = build_rp_table(_gem_config(args), args.tol)
-    renderers = {"json": lambda t: t, "csv": render_rp_table_csv,
+    renderers = {"json": rp_table_to_dict, "csv": render_rp_table_csv,
                  "table": render_rp_table_text}
     return 0, lambda fmt: renderers[fmt](table)
 

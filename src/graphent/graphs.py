@@ -85,6 +85,13 @@ def _is_int(a) -> bool:
     return isinstance(a, int) and not isinstance(a, bool)
 
 
+def check_label(label, n: int, kind: str = "vertex") -> None:
+    """The one rule for vertex and qubit labels: an int, not a bool, in
+    1..n. Raises ValueError naming the label as a vertex or a qubit."""
+    if not _is_int(label) or not 1 <= label <= n:
+        raise ValueError(f"{kind} {label!r} out of range for n={n}")
+
+
 def make_graph(n: int, edges) -> Graph:
     """Build a validated graph from a raw edge list.
 
@@ -114,7 +121,7 @@ def make_graph(n: int, edges) -> Graph:
 
 def neighbors(g: Graph, a: int) -> set[int]:
     """All vertices adjacent to a."""
-    _check_vertex(g, a)
+    check_label(a, g.n)
     return {u + 1 for u in range(g.n) if g.adj[a - 1] >> u & 1}
 
 
@@ -125,7 +132,7 @@ def local_complement(g: Graph, a: int) -> Graph:
     neighborhood, are untouched. Applying the move twice at the same
     vertex returns the original graph.
     """
-    _check_vertex(g, a)
+    check_label(a, g.n)
     nb = g.adj[a - 1]
     # Each neighbour v toggles its adjacency to every other neighbour.
     return Graph(tuple(m ^ (nb & ~(1 << v)) if nb >> v & 1 else m
@@ -347,8 +354,3 @@ def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
         return False
     target = canonical_form(g2)
     return target in _lc_search(g1, max_size, target)
-
-
-def _check_vertex(g: Graph, a) -> None:
-    if not _is_int(a) or not 1 <= a <= g.n:
-        raise ValueError(f"vertex {a!r} out of range for n={g.n}")

@@ -38,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import MAX_VERTICES, Graph, cut_rank_histogram, independence_number
+from graphent.graphs import (
+    MAX_VERTICES,
+    Graph,
+    check_label,
+    cut_rank_histogram,
+    independence_number,
+)
 from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state, num_qubits
 
@@ -232,8 +238,7 @@ def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
     n = num_qubits(state)
     if n != phi.n:
         raise ValueError(f"state has {n} qubits but product state has {phi.n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit {k} out of range for n={n}")
+    check_label(k, n, "qubit")
     envs = _environments(_normalized(state), np.stack(phi.factors)[None])
     env = next(itertools.islice(envs, k - 1, None))[0]
     norm = np.linalg.norm(env)

@@ -13,19 +13,19 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from graphent.graphs import check_label
 from graphent.states import num_qubits
 
 
 def _subset(state: np.ndarray, keep: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     n = num_qubits(state)
     keep = tuple(keep)
+    for q in keep:
+        check_label(q, n, "qubit")
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubits in subsystem {keep!r}")
     if not keep:
         raise ValueError("subsystem must contain at least one qubit")
-    for q in keep:
-        if not (isinstance(q, (int, np.integer)) and 1 <= q <= n):
-            raise ValueError(f"qubit {q!r} out of range for n={n}")
     return n, keep
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphent.graphs import MAX_VERTICES, Graph, neighbors
+from graphent.graphs import MAX_VERTICES, Graph, check_label, neighbors
 
 # exp(-i pi/4 X): square root of X up to phase
 _SQRT_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -45,7 +45,9 @@ def _cz_in_place(state: np.ndarray, n: int, i: int, j: int) -> None:
 def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
     """Controlled-Z between qubits i and j: negate amplitudes with both bits set."""
     n = num_qubits(state)
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
+    check_label(i, n, "qubit")
+    check_label(j, n, "qubit")
+    if i == j:
         raise ValueError(f"bad qubit pair ({i}, {j}) for n={n}")
     out = np.array(state, dtype=complex)
     _cz_in_place(out, n, i, j)
@@ -66,8 +68,7 @@ def apply_local_unitary(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndar
     Raises ValueError if u is not 2x2 unitary to within 1e-10.
     """
     n = num_qubits(state)
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit {qubit} out of range for n={n}")
+    check_label(qubit, n, "qubit")
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
@@ -113,8 +114,7 @@ def stabilizer_expectation(state: np.ndarray, g: Graph, a: int) -> float:
     n = num_qubits(state)
     if n != g.n:
         raise ValueError(f"state has {n} qubits but graph has {g.n} vertices")
-    if not 1 <= a <= n:
-        raise ValueError(f"vertex {a} out of range for n={n}")
+    check_label(a, n)
     s = np.asarray(state, dtype=complex)
     flip = 1 << (n - a)
     zmask = 0

@@ -17,6 +17,7 @@ from graphent.classify import (
     report_to_dict,
     resolution_power,
     rp_fraction,
+    rp_table_to_dict,
 )
 from graphent.measures import GemConfig
 
@@ -160,14 +161,17 @@ def test_rp_table(gcm_values, gem_values):
 
 def test_rp_table_build_and_render():
     table = build_rp_table(GemConfig(restarts=48, seed=0))
-    assert [r["n"] for r in table["per_n"]] == [2, 3, 4, 5, 6, 7]
-    assert table["cumulative"]["eta_kappa"] == 45
+    d = rp_table_to_dict(table)
+    assert [r["n"] for r in d["per_n"]] == [2, 3, 4, 5, 6, 7]
+    assert d["cumulative"]["eta_kappa"] == 45
     text = render_rp_table_text(table)
     assert "up to 7" in text
     csv_text = render_rp_table_csv(table)
     assert csv_text.splitlines()[0] == "n,eta_gcm,eta_gem,eta_kappa,rp_gcm,rp_gem"
 
 
-def test_unknown_measure_kind():
+def test_unknown_measure_kind(gcm_values):
     with pytest.raises(ValueError):
         measure_values("entropy")
+    with pytest.raises(ValueError, match="unknown measure kind 'ENTROPY'"):
+        build_report("entropy", values=gcm_values)

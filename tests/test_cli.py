@@ -354,11 +354,12 @@ def test_verify_catalog_failure_still_reports(tmp_path, capsys, fmt):
         assert out.count("\n") == 6
 
 
-# Text output of the see-saw's commands, byte for byte: the GEM of the
-# 8 ids that reach the see-saw at seeds 0 and 7, and the GEM classes and
-# RP table built from them. JSON is left out, since its last digits
-# depend on the numpy/BLAS build. Regenerate from known-good code with
-# PYTHONPATH=src python3 tests/test_cli.py
+# Output of the see-saw's commands, byte for byte: the GEM of the 8 ids
+# that reach the see-saw at seeds 0 and 7, and the classes and RP tables
+# built from them and from GCM. JSON is pinned only where it holds
+# counts, ratios and exact cut-rank GCM values; a see-saw value's last
+# digits depend on the numpy/BLAS build. Regenerate from known-good code
+# with PYTHONPATH=src python3 tests/test_cli.py
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 GOLDEN_COMMANDS = [
     f"gem --graph {gid} --seed {seed}"
@@ -367,6 +368,11 @@ GOLDEN_COMMANDS = [
     "classify --measure gem --seed 7 --format csv",
     "rp-table --seed 7",
     "rp-table --seed 7 --format csv",
+    "classify --measure gcm",
+    "classify --measure gcm --format csv",
+    "classify --measure gcm --format json",
+    "classify --measure gem --seed 7",
+    "rp-table --seed 7 --format json",
 ]
 
 

@@ -84,9 +84,16 @@ def test_gcm_graph_path_matches_statevector_path_on_catalog():
 
 
 def for_random_graphs(check, max_n: int) -> None:
-    """Run check on 60 derandomized hypothesis graphs with 2 <= n <= max_n."""
+    """Run check on 60 derandomized hypothesis graphs with 2 <= n <= max_n,
+    and on three graphs with exactly max_n vertices, a size the draws
+    need not reach: the path, the complete graph and a seeded random one."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    top_pairs = list(itertools.combinations(range(1, max_n + 1), 2))
+    rng = random.Random(max_n)
+    top = [make_graph(max_n, [(v, v + 1) for v in range(1, max_n)]),
+           make_graph(max_n, top_pairs),
+           make_graph(max_n, [p for p in top_pairs if rng.random() < 0.5])]
 
     @st.composite
     def graphs(draw):
@@ -95,9 +102,12 @@ def for_random_graphs(check, max_n: int) -> None:
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         return make_graph(n, [p for p, k in zip(pairs, keep) if k])
 
+    test = hypothesis.given(graphs())(check)
+    for g in top:
+        test = hypothesis.example(g)(test)
     settings = hypothesis.settings(max_examples=60, deadline=None, database=None,
                                    derandomize=True)
-    settings(hypothesis.given(graphs())(check))()
+    settings(test)()
 
 
 def brute_force_independent_set(g) -> tuple[int, ...]:
@@ -253,7 +263,7 @@ def test_see_saw_step_validation():
     phi = random_product_state(np.random.default_rng(5), 3)
     with pytest.raises(ValueError, match="product state has 2"):
         see_saw_step(psi, ProductState(phi.factors[:2]), 1)
-    for k in (0, 4):
+    for k in (0, 4, True):
         with pytest.raises(ValueError, match=f"qubit {k} out of range"):
             see_saw_step(psi, phi, k)
 

@@ -166,6 +166,12 @@ def test_subset_validation():
     for cut in ([], [1, 1], [3], [1, 2]):
         with pytest.raises(ValueError):
             top_schmidt_weight(psi, cut)
+    # Qubit labels follow the vertex rule: a bool, a numpy integer or an
+    # unhashable object is not a label.
+    for label in (True, np.int64(1), [1]):
+        for reduce in (partial_trace, subset_purity, top_schmidt_weight):
+            with pytest.raises(ValueError, match="out of range for n=2"):
+                reduce(psi, [label])
 
 
 def test_cut_rank_histogram_is_lc_and_relabel_invariant():

@@ -196,6 +196,16 @@ def test_qubit_and_vertex_checks():
             apply(plus_state(2), g, 1)
         with pytest.raises(ValueError, match="out of range for n=3"):
             apply(psi, g, 4)
+    # A bool would act on qubit 1, and a float used to fail with a bare
+    # TypeError: both are refused as labels.
+    for label in (True, 1.0):
+        with pytest.raises(ValueError, match=f"qubit {label!r} out of range"):
+            apply_cz(psi, label, 2)
+    for label in (True, 1.5):
+        with pytest.raises(ValueError, match=f"qubit {label!r} out of range"):
+            apply_local_unitary(psi, np.eye(2), label)
+    with pytest.raises(ValueError, match="vertex 2.0 out of range for n=3"):
+        stabilizer_expectation(psi, g, 2.0)
 
 
 def test_apply_local_unitary_matches_dense_kron():
