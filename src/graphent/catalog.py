@@ -87,22 +87,21 @@ def catalog_size() -> int:
     return len(_TABLE)
 
 
+# The entries, built and validated once; CatalogEntry and Graph are frozen.
+_ENTRIES = {i: CatalogEntry(i, make_graph(n, edges), ref_gcm, ref_gem)
+            for i, (n, edges, ref_gcm, ref_gem) in sorted(_TABLE.items())}
+
+
 def catalog_get(graph_id: int) -> CatalogEntry:
     """Entry by 1-based id; raises for ids outside 1..45."""
-    if graph_id not in _TABLE:
+    if graph_id not in _ENTRIES:
         raise ValueError(f"catalog id must be in 1..{len(_TABLE)}, got {graph_id!r}")
-    n, edges, ref_gcm, ref_gem = _TABLE[graph_id]
-    return CatalogEntry(
-        id=graph_id,
-        graph=make_graph(n, edges),
-        expected_gcm=ref_gcm,
-        expected_gem=ref_gem,
-    )
+    return _ENTRIES[graph_id]
 
 
 def all_entries() -> list[CatalogEntry]:
-    """All 45 entries in id order."""
-    return [catalog_get(i) for i in sorted(_TABLE)]
+    """All 45 entries in id order, as a new list on each call."""
+    return list(_ENTRIES.values())
 
 
 def ids_with_n(n: int) -> list[int]:

@@ -31,6 +31,17 @@ def test_catalog_get_bounds():
     assert catalog_get(1).id == 1
 
 
+def test_all_entries_returns_a_fresh_list():
+    # The entries are built once; callers may extend or clear the list.
+    entries = all_entries()
+    assert [e.id for e in entries] == list(range(1, 46))
+    assert all(e is catalog_get(e.id) for e in entries)
+    entries.pop()
+    entries.append(entries[0])
+    entries.clear()
+    assert [e.id for e in all_entries()] == list(range(1, 46))
+
+
 def test_known_entries():
     assert catalog_get(4).graph.edges == ((1, 2), (2, 3), (3, 4))
     e19 = catalog_get(19).graph.edges

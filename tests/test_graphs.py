@@ -4,13 +4,16 @@ import functools
 import itertools
 import random
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
-from graphent.catalog import all_entries
+from graphent import graphs
+from graphent.catalog import all_entries, catalog_get
 from graphent.graphs import (
     Graph,
+    LcOrbit,
     OrbitBudgetExceeded,
     are_lc_equivalent,
     canonical_form,
@@ -91,6 +94,78 @@ def dict_of_sets_is_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def unpruned_lc_search(g, max_size, target=None):
+    """The LC-orbit breadth-first search that tries every vertex of every
+    form. The reference for graphs._lc_search, which skips the moves it
+    can prove redundant and must reach the same forms in the same order.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    start = canonical_form(g)
+    reps = {start}
+    queue = deque([start])
+    while queue and target not in reps:
+        cur = queue.popleft()
+        for a in range(1, g.n + 1):
+            nxt = canonical_form(local_complement(cur, a))
+            if nxt in reps:
+                continue
+            if nxt != target and len(reps) >= max_size:
+                raise OrbitBudgetExceeded(
+                    f"orbit exceeds budget of {max_size} representatives"
+                )
+            reps.add(nxt)
+            if nxt == target:
+                break
+            queue.append(nxt)
+    return reps
+
+
+def automorphism_taking(g, v, w):
+    """A permutation (1-based images) that preserves g's adjacency and maps
+    0-indexed vertex v to w, found by backtracking, or None. Vertices are
+    mapped in an order that keeps each one adjacent to many mapped ones."""
+    n = g.n
+    order, placed = [v], 1 << v
+    while len(order) < n:
+        u = max((u for u in range(n) if not placed >> u & 1),
+                key=lambda u: ((g.adj[u] & placed).bit_count(), -u))
+        order.append(u)
+        placed |= 1 << u
+    image = [-1] * n
+
+    def extend(i, used):
+        if i == n:
+            return True
+        u = order[i]
+        for x in ([w] if i == 0 else range(n)):
+            if used >> x & 1 or g.adj[u].bit_count() != g.adj[x].bit_count():
+                continue
+            if all((g.adj[u] >> y & 1) == (g.adj[x] >> image[y] & 1) for y in order[:i]):
+                image[u] = x
+                if extend(i + 1, used | 1 << x):
+                    return True
+        return False
+
+    return tuple(x + 1 for x in image) if extend(0, 0) else None
+
+
+def assert_classes_are_automorphism_orbits(g, searched=None):
+    """Each class the canonical search reports (or reported, as searched)
+    holds its own members only, and an automorphism of the form maps each
+    member to each other. Returns the classes."""
+    form, perm, classes = searched or graphs._canonical_with_perm(g)
+    assert form == relabel(g, perm)
+    for v, cls in enumerate(classes):
+        assert cls >> v & 1
+        for w in range(g.n):
+            if cls >> w & 1:
+                assert classes[w] == cls
+                sigma = automorphism_taking(form, v, w)
+                assert sigma is not None and relabel(form, sigma) == form
+    return classes
 
 
 def test_bitmask_operations_match_edge_list_oracles():
@@ -261,11 +336,12 @@ def test_cocktail_party_canonical_form_within_budget():
     matching = {(2 * k - 1, 2 * k) for k in range(1, 9)}
     g = make_graph(16, set(itertools.combinations(range(1, 17), 2)) - matching)
     start = time.perf_counter()
-    c = canonical_form(g)
+    searched = graphs._canonical_with_perm(g)
     assert time.perf_counter() - start < 5.0
     # Lex-least: each vertex's missing partner is labeled as late as possible.
-    missing = set(itertools.combinations(range(1, 17), 2)) - set(c.edges)
+    missing = set(itertools.combinations(range(1, 17), 2)) - set(searched[0].edges)
     assert missing == {(k, 17 - k) for k in range(1, 9)}
+    assert set(assert_classes_are_automorphism_orbits(g, searched)) == {(1 << 16) - 1}
 
 
 def test_path_vs_star_not_isomorphic():
@@ -346,6 +422,101 @@ def test_orbit_star4_contains_complete():
     assert canonical_form(k4) in orb.representatives
     assert canonical_form(star) in orb.representatives
     assert orb.size == 2
+
+
+def assert_same_search(g, max_size, target=None):
+    """The pruned and the unpruned search end alike: with the same forms,
+    or both with OrbitBudgetExceeded."""
+    try:
+        want = unpruned_lc_search(g, max_size, target)
+    except OrbitBudgetExceeded:
+        with pytest.raises(OrbitBudgetExceeded):
+            graphs._lc_search(g, max_size, target)
+        return
+    assert graphs._lc_search(g, max_size, target)[0] == want
+
+
+def cycle(n):
+    return make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def test_lc_orbit_matches_unpruned_search_on_catalog_and_cycles():
+    entries = all_entries()
+    orbits = {e.id: unpruned_lc_search(e.graph, 10**6) for e in entries}
+    for e in entries:
+        assert lc_orbit(e.graph).representatives == orbits[e.id], e.id
+    for n in (8, 9, 10):
+        assert lc_orbit(cycle(n)).representatives == unpruned_lc_search(cycle(n), 10**6)
+    # Verdicts on a walked copy of each catalog graph, against its own entry
+    # and the next one with as many vertices.
+    rng = random.Random(12)
+    for e in entries:
+        walked = _lc_walk(e.graph, rng, e.n)
+        same_n = [other for other in entries if other.n == e.n]
+        nxt = same_n[(same_n.index(e) + 1) % len(same_n)]
+        for other in (e, nxt):
+            want = canonical_form(walked) in orbits[other.id]
+            assert are_lc_equivalent(other.graph, walked) == want, (e.id, other.id)
+
+
+def test_lc_search_matches_unpruned_search_on_random_graphs():
+    # Orbits of random 9-vertex graphs reach thousands of forms, so each
+    # search runs under a budget and compares how it ends; the targets are
+    # a short LC walk away (equivalent) and one edge away (rarely so).
+    def check(g):
+        rng = random.Random(len(g.edges))
+        assert_same_search(g, 40)
+        near = canonical_form(_lc_walk(g, rng, 2))
+        assert_same_search(g, 40, near)
+        flipped = canonical_form(make_graph(g.n, set(g.edges) ^ {(1, 2)}))
+        assert_same_search(g, 40, flipped)
+
+    for_random_graphs(check, 9)
+
+
+@pytest.mark.parametrize("gid", [8, 19, 30, 45])
+def test_orbit_budget_fires_where_unpruned_search_does(gid):
+    g = catalog_get(gid).graph
+    size = lc_orbit(g).size
+    assert len(unpruned_lc_search(g, size)) == size
+    for search in (lc_orbit, unpruned_lc_search):
+        with pytest.raises(OrbitBudgetExceeded):
+            search(g, size - 1)
+    # With a target, whether the budget fires first depends on the order
+    # in which forms are found, so every budget is compared.
+    target = max(lc_orbit(g).representatives, key=lambda r: r.edges)
+    for max_size in range(1, size + 1):
+        assert_same_search(g, max_size, target)
+
+
+@pytest.mark.parametrize("edges", [
+    [(a + 1, b + 1) for a, b in itertools.combinations(range(16), 2)
+     if a ^ b in (1, 2, 4, 8, 15)],
+    [(2 * k - 1, 2 * k) for k in range(1, 9)],
+    [(v, v % 16 + 1) for v in range(1, 17)],
+], ids=["clebsch", "perfect-matching", "cycle"])
+def test_canonical_search_classes_are_automorphism_orbits(edges):
+    # K16 minus a perfect matching is checked beside its time budget. All
+    # four graphs are vertex-transitive, and the search proves it.
+    classes = assert_classes_are_automorphism_orbits(make_graph(16, edges))
+    assert set(classes) == {(1 << 16) - 1}
+
+
+def test_canonical_search_classes_are_automorphism_orbits_on_random_graphs():
+    def check(g):
+        assert_classes_are_automorphism_orbits(g)
+
+    for_random_graphs(check, 16)
+
+
+def test_catalog_orbits_count_their_canonical_searches():
+    # The unpruned search runs 6825: one per start and per vertex of each
+    # of the 995 forms.
+    orbits = [lc_orbit(e.graph) for e in all_entries()]
+    assert sum(o.size for o in orbits) == 995
+    assert all(o.size <= o.searches for o in orbits)
+    assert sum(o.searches for o in orbits) <= 3400
+    assert orbits[0] == LcOrbit(orbits[0].representatives)
 
 
 def test_orbit_budget_exceeded():
