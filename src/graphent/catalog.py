@@ -150,12 +150,15 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: vertex indices must be >= 1")
         if i == j:
             raise ValueError(f"line {lineno}: self-loop at vertex {i}")
-        edges.append((i, j))
+        edges.append((i, j, lineno))
     if n_header is None:
         if not edges:
             raise ValueError("empty edge list and no n header")
-        n_header = max(max(e) for e in edges)
-    return make_graph(n_header, edges)
+        n_header = max(max(i, j) for i, j, _ in edges)
+    for i, j, lineno in edges:
+        if max(i, j) > n_header:
+            raise ValueError(f"line {lineno}: edge ({i}, {j}) out of range for n={n_header}")
+    return make_graph(n_header, [(i, j) for i, j, _ in edges])
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -13,8 +13,6 @@ entries themselves, which hold one representative per canonical class.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -180,17 +178,14 @@ def render_report_text(report: ClassificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_csv(report: ClassificationReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["class", "value", "members"])
-    for c in report.classes:
-        w.writerow([c.class_index, f"{c.value:.5f}", " ".join(map(str, c.members))])
-    w.writerow([])
-    w.writerow(["n", "eta_measure", "eta_kappa", "rp"])
-    for _, label, e in _rp_rows(report):
-        w.writerow([label, e.eta_measure, e.eta_kappa, repr(e.rp)])
-    return buf.getvalue()
+def report_csv_rows(report: ClassificationReport) -> list[list]:
+    """CSV rows: the classes, a blank row, then the resolution-power rows."""
+    return ([["class", "value", "members"]]
+            + [[c.class_index, f"{c.value:.5f}", " ".join(map(str, c.members))]
+               for c in report.classes]
+            + [[], ["n", "eta_measure", "eta_kappa", "rp"]]
+            + [[label, e.eta_measure, e.eta_kappa, repr(e.rp)]
+               for _, label, e in _rp_rows(report)])
 
 
 def build_rp_table(cfg: GemConfig | None = None,
@@ -219,11 +214,7 @@ def render_rp_table_text(table: RpTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_rp_table_csv(table: RpTable) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "eta_gcm", "eta_gem", "eta_kappa", "rp_gcm", "rp_gem"])
-    for (_, label, a), (*_, b) in zip(*map(_rp_rows, table)):
-        w.writerow([label, a.eta_measure, b.eta_measure, a.eta_kappa,
-                    repr(a.rp), repr(b.rp)])
-    return buf.getvalue()
+def rp_table_csv_rows(table: RpTable) -> list[list]:
+    return [["n", "eta_gcm", "eta_gem", "eta_kappa", "rp_gcm", "rp_gem"]] + [
+        [label, a.eta_measure, b.eta_measure, a.eta_kappa, repr(a.rp), repr(b.rp)]
+        for (_, label, a), (*_, b) in zip(*map(_rp_rows, table))]

@@ -14,15 +14,18 @@ produce identical bytes.
 main alone picks the output format and writes: to --out, or else to
 sys.stdout, looked up at write time so that callers may redirect it.
 Each cmd_* returns a Result, its exit code and a render(fmt) that
-builds only the requested format: a JSON object for json, which main
-serializes, or the text for table and csv.
+builds only the requested format: a JSON object for json or a list of
+rows (each a list of cells) for csv, both of which main serializes, or
+the text for table.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 from collections.abc import Callable
@@ -37,11 +40,11 @@ from graphent.classify import (
     DEFAULT_GROUPING_TOL,
     build_report,
     build_rp_table,
-    render_report_csv,
     render_report_text,
-    render_rp_table_csv,
     render_rp_table_text,
+    report_csv_rows,
     report_to_dict,
+    rp_table_csv_rows,
     rp_table_to_dict,
 )
 from graphent.graphs import (
@@ -62,7 +65,7 @@ from graphent.states import (
 )
 
 
-Result = tuple[int, Callable[[str], dict | str]]
+Result = tuple[int, Callable[[str], dict | list | str]]
 
 
 def _parse_inline_edges(text: str) -> Graph:
@@ -89,15 +92,13 @@ def _load_graph(args, suffix: str = "") -> Graph:
 
 
 def _inline(g: Graph) -> str:
-    return ",".join(f"{i} {j}" for i, j in g.edges)
+    """Inline edges, led by "n N" if vertex n is isolated, so they parse back."""
+    head = [] if g.adj[-1] else [f"n {g.n}"]
+    return ",".join(head + [f"{i} {j}" for i, j in g.edges])
 
 
 def _graph_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _gem_config(args) -> GemConfig:
@@ -172,14 +173,14 @@ def cmd_equiv(args) -> Result:
 
 def cmd_classify(args) -> Result:
     report = build_report(args.measure, _gem_config(args), args.tol)
-    renderers = {"json": report_to_dict, "csv": render_report_csv,
+    renderers = {"json": report_to_dict, "csv": report_csv_rows,
                  "table": render_report_text}
     return 0, lambda fmt: renderers[fmt](report)
 
 
 def cmd_rp_table(args) -> Result:
     table = build_rp_table(_gem_config(args), args.tol)
-    renderers = {"json": rp_table_to_dict, "csv": render_rp_table_csv,
+    renderers = {"json": rp_table_to_dict, "csv": rp_table_csv_rows,
                  "table": render_rp_table_text}
     return 0, lambda fmt: renderers[fmt](table)
 
@@ -244,14 +245,11 @@ def cmd_verify_catalog(args) -> Result:
                                for name, ok, detail in checks],
                     "passed": passed}
         if fmt == "csv":
-            lines = ["check,passed,detail"]
-            lines += [f"{name},{str(ok).lower()},{detail}" for name, ok, detail in checks]
-        else:
-            lines = [
-                f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
-                for name, ok, detail in checks
-            ]
-            lines.append("catalog OK" if passed else "catalog verification FAILED")
+            return [["check", "passed", "detail"]] + [
+                [name, str(ok).lower(), detail] for name, ok, detail in checks]
+        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+                 for name, ok, detail in checks]
+        lines.append("catalog OK" if passed else "catalog verification FAILED")
         return "\n".join(lines) + "\n"
 
     return (0 if passed else 1), render
@@ -365,14 +363,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, render = args.func(args)
-        text = render(args.format)
+        out = render(args.format)
         if args.format == "json":
-            text = _json_text(text)
+            out = json.dumps(out, indent=2) + "\n"
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(out)
+            out = buf.getvalue()
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.write(out)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(out)
         return code
     except (ValueError, OrbitBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,7 +103,7 @@ def test_parse_edge_list_errors_carry_line_numbers():
     for header in ("n", "n 3 4", "n x", "n 0"):
         with pytest.raises(ValueError, match="line 1"):
             parse_edge_list(header + "\n1 2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2"):
         parse_edge_list("n 2\n1 3\n")  # edge outside header count
     with pytest.raises(ValueError):
         parse_edge_list("0 2\n")

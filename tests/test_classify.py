@@ -10,13 +10,13 @@ from graphent.classify import (
     build_rp_table,
     group_by_value,
     measure_values,
-    render_report_csv,
     render_report_text,
-    render_rp_table_csv,
     render_rp_table_text,
+    report_csv_rows,
     report_to_dict,
     resolution_power,
     rp_fraction,
+    rp_table_csv_rows,
     rp_table_to_dict,
 )
 from graphent.measures import GemConfig
@@ -136,10 +136,9 @@ def test_render_report_text(gcm_values):
 
 
 def test_render_report_csv(gcm_values):
-    csv_text = render_report_csv(build_report("GCM", values=gcm_values))
-    lines = csv_text.splitlines()
-    assert lines[0] == "class,value,members"
-    assert any(line.endswith("40 42 43 45") for line in lines)
+    rows = report_csv_rows(build_report("GCM", values=gcm_values))
+    assert rows[0] == ["class", "value", "members"]
+    assert any(row and row[-1].endswith("40 42 43 45") for row in rows)
 
 
 def test_rp_table(gcm_values, gem_values):
@@ -166,8 +165,8 @@ def test_rp_table_build_and_render():
     assert d["cumulative"]["eta_kappa"] == 45
     text = render_rp_table_text(table)
     assert "up to 7" in text
-    csv_text = render_rp_table_csv(table)
-    assert csv_text.splitlines()[0] == "n,eta_gcm,eta_gem,eta_kappa,rp_gcm,rp_gem"
+    rows = rp_table_csv_rows(table)
+    assert rows[0] == ["n", "eta_gcm", "eta_gem", "eta_kappa", "rp_gcm", "rp_gem"]
 
 
 def test_unknown_measure_kind(gcm_values):

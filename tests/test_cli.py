@@ -1,6 +1,7 @@
 """CLI tests driven through main() plus one end-to-end subprocess check."""
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -105,6 +106,19 @@ def test_lc_json(capsys):
     payload = json.loads(out)
     assert payload["n"] == 4
     assert len(payload["edges"]) == 6
+
+
+@pytest.mark.parametrize("edges, top", [("n 3,1 2", "3"), ("n 2", "2")])
+@pytest.mark.parametrize("command", ["lc", "orbit"])
+def test_text_output_parses_back_with_isolated_top_vertex(capsys, edges, top, command):
+    # LC at the isolated vertex n is the identity, and every member of an
+    # orbit has that orbit, so the printed graph, read back, gives the
+    # same JSON; without its n header it would read back with fewer vertices.
+    argv = ("lc", "--vertex", top) if command == "lc" else ("orbit",)
+    _, out, _ = run(capsys, *argv, "--edges", edges)
+    printed = out.splitlines()[-1]
+    assert (run(capsys, *argv, "--edges", printed, "--format", "json")
+            == run(capsys, *argv, "--edges", edges, "--format", "json"))
 
 
 def test_orbit_single_edge(capsys):
@@ -285,6 +299,15 @@ def test_verify_catalog_budget_exceeded(capsys):
     code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--budget", "50")
     assert code == 1
     assert "budget exceeded" in out
+
+
+def test_verify_catalog_failing_csv_keeps_three_fields(capsys):
+    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--budget", "3",
+                       "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [3] * 6
+    assert rows[-1][2].startswith("budget exceeded for ids: [")
 
 
 def test_verify_catalog_lc_pairwise_reports_shared_orbits(monkeypatch):
