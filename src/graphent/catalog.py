@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from graphent.graphs import Graph, make_graph
+from graphent.graphs import MAX_VERTICES, Graph, make_graph
 
 # id: (n, edges, reference gcm, reference gem)
 _TABLE = {
@@ -114,8 +114,8 @@ def parse_edge_list(text: str) -> Graph:
 
     One edge per line as two whitespace-separated 1-indexed integers.
     Lines starting with `#` are comments; blank lines are skipped. An
-    optional `n <count>` header fixes the vertex count, otherwise the
-    largest index seen is used. Errors carry the offending line number.
+    optional `n <count>` header fixes the vertex count, else the largest
+    index seen (at most MAX_VERTICES). Errors carry the line number.
     """
     edges = []
     n_header = None
@@ -137,6 +137,8 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if n_header < 1:
                 raise ValueError(f"line {lineno}: vertex count must be positive")
+            if n_header > MAX_VERTICES:
+                raise ValueError(f"line {lineno}: vertex count {n_header} exceeds {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise ValueError(
@@ -154,7 +156,7 @@ def parse_edge_list(text: str) -> Graph:
     if n_header is None:
         if not edges:
             raise ValueError("empty edge list and no n header")
-        n_header = max(max(i, j) for i, j, _ in edges)
+        n_header = min(max(max(i, j) for i, j, _ in edges), MAX_VERTICES)
     for i, j, lineno in edges:
         if max(i, j) > n_header:
             raise ValueError(f"line {lineno}: edge ({i}, {j}) out of range for n={n_header}")

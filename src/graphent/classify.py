@@ -118,20 +118,20 @@ def build_report(kind: str, cfg: GemConfig | None = None,
                  values: list[tuple[int, float]] | None = None) -> ClassificationReport:
     """Full classification: cumulative classes plus per-n regrouping.
 
-    Precomputed (id, value) pairs can be passed to avoid re-measuring.
-    A row's eta_kappa is its number of catalog entries.
+    Precomputed (id, value) pairs, one per catalog id, can be passed to
+    avoid re-measuring. A row's eta_kappa is its number of catalog entries.
     """
     kind = _measure_kind(kind)
     if values is None:
         values = measure_values(kind, cfg)
     entries = all_entries()
     by_id = dict(values)
-    if set(by_id) != {e.id for e in entries}:
-        raise ValueError("values must cover exactly the catalog ids")
+    if len(by_id) != len(values) or set(by_id) != {e.id for e in entries}:
+        raise ValueError("values must hold exactly one value per catalog id")
     by_n: dict[int, list[tuple[int, float]]] = {}
     for e in entries:
         by_n.setdefault(e.n, []).append((e.id, by_id[e.id]))
-    classes = tuple(group_by_value(values, tol))
+    classes = tuple(group_by_value(by_id.items(), tol))
     return ClassificationReport(
         measure_kind=kind,
         classes=classes,

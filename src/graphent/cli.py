@@ -68,10 +68,6 @@ from graphent.states import (
 Result = tuple[int, Callable[[str], dict | list | str]]
 
 
-def _parse_inline_edges(text: str) -> Graph:
-    return parse_edge_list(text.replace(",", "\n"))
-
-
 def _load_graph(args, suffix: str = "") -> Graph:
     sources = [
         ("graph" + suffix, getattr(args, "graph" + suffix, None)),
@@ -86,7 +82,7 @@ def _load_graph(args, suffix: str = "") -> Graph:
     if name.startswith("graph"):
         return catalog_get(value).graph
     if name.startswith("edges"):
-        return _parse_inline_edges(value)
+        return parse_edge_list(value.replace(",", "\n"))
     with open(value) as fh:
         return parse_edge_list(fh.read())
 

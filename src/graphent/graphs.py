@@ -187,24 +187,25 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
     The cuts are the 2^(n-1) - 1 nonempty vertex subsets A that leave
     out vertex n. A subset and its complement have equal cut-rank, so
     these cover every bipartition once. All subsets are eliminated
-    together: row v of subset A is v's neighbourhood inside the
-    complement of A, as an int64 bitmask, and each subset keeps an XOR
-    basis with one slot per leading bit. Temporaries are n * 2^(n-1)
-    int64 values.
+    together, in vertex order. Row v of A is v's neighbourhood outside
+    A as an int64 bitmask (zero if v is not in A); it is reduced by each
+    stored row whose pivot, its lowest set bit, it holds, then stored
+    with its pivot, and the cut-rank is the number of nonzero rows. The
+    n(n-1)/2 reductions keep up to 2(n-1) arrays of 2^(n-1) int64, about
+    8 MB at n = 16 (recomputing the pivots would halve that, but slower).
     """
     n = g.n
     subsets = np.arange(1, 1 << (n - 1), dtype=np.int64)
-    outside = ~subsets
-    basis = np.zeros((n, subsets.size), dtype=np.int64)
+    rank = np.zeros_like(subsets)
+    stored = []
     for v in range(n - 1):
-        row = np.where((subsets >> v) & 1 == 1, outside & g.adj[v], 0)
-        for b in range(n - 1, -1, -1):
-            hit = (row >> b) & 1 == 1
-            # An empty slot takes the row; either way the row then
-            # loses bit b by XOR with the slot (to zero if just stored).
-            np.copyto(basis[b], row, where=hit & (basis[b] == 0))
-            row ^= np.where(hit, basis[b], 0)
-    return np.bincount(np.count_nonzero(basis, axis=0), minlength=1)
+        row = np.where((subsets >> v) & 1 == 1, ~subsets & g.adj[v], 0)
+        # Each stored row lacks the pivots of the rows stored before it.
+        for prev, pivot in stored:
+            row ^= np.where(row & pivot != 0, prev, 0)
+        stored.append((row, row & -row))
+        rank += row != 0
+    return np.bincount(rank, minlength=1)
 
 
 def independence_number(g: Graph) -> int:
@@ -318,10 +319,7 @@ def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     c2, p2, _ = _canonical_with_perm(g2)
     if c1 != c2:
         return None
-    inv2 = [0] * g2.n
-    for v in range(1, g2.n + 1):
-        inv2[p2[v - 1] - 1] = v
-    return tuple(inv2[p1[v - 1] - 1] for v in range(1, g1.n + 1))
+    return tuple(p2.index(label) + 1 for label in p1)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -342,8 +340,6 @@ def _lc_search(g: Graph, max_size: int,
     or 1 (the identity), LC back to a parent (LC is an involution), and
     LC at a vertex of a proven class other than its lowest.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
     start, _, classes = _canonical_with_perm(g)
     reps = {start}
     queue = deque([(start, classes)])
@@ -380,6 +376,8 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
     Raises OrbitBudgetExceeded if the closure would grow past max_size
     representatives.
     """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     reps, searches = _lc_search(g, max_size)
     return LcOrbit(frozenset(reps), searches)
 
@@ -393,6 +391,8 @@ def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
     rejected without a search. Otherwise g1's orbit is searched until it
     reaches g2, so max_size binds only when g2 is not reached first.
     """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     if g1.n != g2.n:
         return False
     if cut_rank_histogram(g1).tolist() != cut_rank_histogram(g2).tolist():

@@ -93,6 +93,8 @@ class GemConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -100,11 +100,13 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("# c\n1 2\nx 2\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list("n 4\nn 5\n")
-    for header in ("n", "n 3 4", "n x", "n 0"):
+    for header in ("n", "n 3 4", "n x", "n 0", "n 17"):
         with pytest.raises(ValueError, match="line 1"):
             parse_edge_list(header + "\n1 2\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list("n 2\n1 3\n")  # edge outside header count
+    with pytest.raises(ValueError, match="line 2"):
+        parse_edge_list("1 2\n1 17\n")  # no header, past MAX_VERTICES
     with pytest.raises(ValueError):
         parse_edge_list("0 2\n")
     with pytest.raises(ValueError):

@@ -113,9 +113,13 @@ def test_gem_report_structure(gem_values):
     assert [e.eta_measure for e in report.per_n] == [1, 1, 2, 3, 4, 5]
 
 
-def test_report_values_must_cover_catalog():
+def test_report_values_must_cover_catalog(gcm_values):
     with pytest.raises(ValueError):
         build_report("GCM", values=[(1, 1.0)])
+    # Each id once: a second value for id 1 would join the cumulative
+    # classes but not its per-n row.
+    with pytest.raises(ValueError):
+        build_report("GCM", values=gcm_values + [(1, 1.9)])
 
 
 def test_report_to_dict_schema(gcm_values):

@@ -567,6 +567,9 @@ def test_lc_equivalence_separates_catalog_classes():
 
 def test_lc_inequivalent_different_n():
     assert not are_lc_equivalent(make_graph(2, [(1, 2)]), make_graph(3, [(1, 2)]))
+    # The budget is checked before any early answer.
+    with pytest.raises(ValueError, match="max_size"):
+        are_lc_equivalent(make_graph(2, [(1, 2)]), make_graph(3, [(1, 2)]), max_size=0)
 
 
 def test_graph_hashable_and_frozen():

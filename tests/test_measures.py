@@ -286,6 +286,8 @@ def test_gem_config_validation():
         GemConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         GemConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="seed"):
+        GemConfig(seed=-1)
 
 
 _GEM_ANCHORS = [
