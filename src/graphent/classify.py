@@ -114,9 +114,9 @@ def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, f
 
 
 def build_report(kind: str, cfg: GemConfig | None = None,
-                 tol: float = DEFAULT_GROUPING_TOL,
                  values: list[tuple[int, float]] | None = None) -> ClassificationReport:
-    """Full classification: cumulative classes plus per-n regrouping.
+    """Full classification: cumulative classes plus per-n regrouping,
+    both grouped at DEFAULT_GROUPING_TOL.
 
     Precomputed (id, value) pairs, one per catalog id, can be passed to
     avoid re-measuring. A row's eta_kappa is its number of catalog entries.
@@ -131,11 +131,11 @@ def build_report(kind: str, cfg: GemConfig | None = None,
     by_n: dict[int, list[tuple[int, float]]] = {}
     for e in entries:
         by_n.setdefault(e.n, []).append((e.id, by_id[e.id]))
-    classes = tuple(group_by_value(by_id.items(), tol))
+    classes = tuple(group_by_value(by_id.items()))
     return ClassificationReport(
         measure_kind=kind,
         classes=classes,
-        per_n=tuple(_rp_entry(n, len(group_by_value(group, tol)), len(group))
+        per_n=tuple(_rp_entry(n, len(group_by_value(group)), len(group))
                     for n, group in sorted(by_n.items())),
         cumulative=_rp_entry(None, len(classes), len(entries)),
     )
@@ -188,10 +188,9 @@ def report_csv_rows(report: ClassificationReport) -> list[list]:
                for _, label, e in _rp_rows(report)])
 
 
-def build_rp_table(cfg: GemConfig | None = None,
-                   tol: float = DEFAULT_GROUPING_TOL) -> RpTable:
+def build_rp_table(cfg: GemConfig | None = None) -> RpTable:
     """The GCM and the GEM report, shown side by side as the rp-table."""
-    return build_report("GCM", cfg, tol), build_report("GEM", cfg, tol)
+    return build_report("GCM", cfg), build_report("GEM", cfg)
 
 
 def rp_table_to_dict(table: RpTable) -> dict:

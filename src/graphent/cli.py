@@ -37,7 +37,6 @@ from graphent.catalog import (
     parse_edge_list,
 )
 from graphent.classify import (
-    DEFAULT_GROUPING_TOL,
     build_report,
     build_rp_table,
     render_report_text,
@@ -48,6 +47,7 @@ from graphent.classify import (
     rp_table_to_dict,
 )
 from graphent.graphs import (
+    LC_BUDGET,
     Graph,
     OrbitBudgetExceeded,
     are_lc_equivalent,
@@ -98,9 +98,8 @@ def _graph_dict(g: Graph) -> dict:
 
 
 def _gem_config(args) -> GemConfig:
-    flags = {"restarts": "restarts", "seed": "seed", "tolerance": "gem_tol"}
-    return GemConfig(**{field: getattr(args, flag) for field, flag in flags.items()
-                        if getattr(args, flag, None) is not None})
+    return GemConfig(**{field: getattr(args, field) for field in ("restarts", "seed")
+                        if getattr(args, field) is not None})
 
 
 def cmd_state(args) -> Result:
@@ -168,14 +167,14 @@ def cmd_equiv(args) -> Result:
 
 
 def cmd_classify(args) -> Result:
-    report = build_report(args.measure, _gem_config(args), args.tol)
+    report = build_report(args.measure, _gem_config(args))
     renderers = {"json": report_to_dict, "csv": report_csv_rows,
                  "table": render_report_text}
     return 0, lambda fmt: renderers[fmt](report)
 
 
 def cmd_rp_table(args) -> Result:
-    table = build_rp_table(_gem_config(args), args.tol)
+    table = build_rp_table(_gem_config(args))
     renderers = {"json": rp_table_to_dict, "csv": rp_table_csv_rows,
                  "table": render_rp_table_text}
     return 0, lambda fmt: renderers[fmt](table)
@@ -270,9 +269,9 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("table", "json", "csv
 
 def _add_gem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, metavar="R",
-                   help="random restarts (default 64)")
+                   help=f"random restarts (default {GemConfig.restarts})")
     p.add_argument("--seed", type=int, metavar="S",
-                   help="restart stream seed (default 0)")
+                   help=f"restart stream seed (default {GemConfig.seed})")
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gem", help="geometric measure via bounds or seeded see-saw")
     _add_source_flags(p)
     _add_gem_flags(p)
-    p.add_argument("--tol", type=float, dest="gem_tol", metavar="T",
-                   help="see-saw convergence tolerance (default 1e-12)")
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=lambda a: cmd_measure(a, "GEM"))
 
@@ -311,32 +308,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="closure under local complementation")
     _add_source_flags(p)
-    p.add_argument("--budget", type=int, default=10**6, metavar="B",
-                   help="orbit size budget (default 1e6)")
+    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
+                   help=f"orbit size budget (default {LC_BUDGET})")
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("equiv", help="are two graphs linked by LC moves?")
     _add_source_flags(p)
     _add_source_flags(p, suffix="2")
-    p.add_argument("--budget", type=int, default=10**6, metavar="B",
+    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
                    help="orbit size budget for the first graph; the search stops "
                         "at the second, so it binds only if that is not reached "
-                        "first (default 1e6)")
+                        f"first (default {LC_BUDGET})")
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("classify", help="equal-measure classes over the catalog")
     p.add_argument("--measure", choices=("gcm", "gem"), required=True)
     _add_gem_flags(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_GROUPING_TOL, metavar="T",
-                   help="grouping tolerance (default 1e-4)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("rp-table", help="resolution power of both measures")
     _add_gem_flags(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_GROUPING_TOL, metavar="T")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rp_table)
 
@@ -344,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     pairs = catalog_size() * (catalog_size() - 1) // 2
     p.add_argument("--lc-pairwise", action="store_true",
                    help=f"also check all {pairs} orbit pairs are disjoint")
-    p.add_argument("--budget", type=int, default=10**6, metavar="B",
+    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
                    help="orbit size budget per catalog graph for --lc-pairwise "
-                        "(default 1e6)")
+                        f"(default {LC_BUDGET})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_catalog)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_VERTICES = 16
+LC_BUDGET = 10**6
 
 
 class OrbitBudgetExceeded(RuntimeError):
@@ -370,7 +371,7 @@ def _lc_search(g: Graph, max_size: int,
     return reps, searches
 
 
-def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
+def lc_orbit(g: Graph, max_size: int = LC_BUDGET) -> LcOrbit:
     """Closure of g under local complementation, modulo isomorphism.
 
     Raises OrbitBudgetExceeded if the closure would grow past max_size
@@ -382,7 +383,7 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
     return LcOrbit(frozenset(reps), searches)
 
 
-def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = 10**6) -> bool:
+def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = LC_BUDGET) -> bool:
     """True if a sequence of local complementations links the two graphs,
     up to relabeling of vertices. Symmetric in its arguments.
 

@@ -86,11 +86,14 @@ def test_gem_json_diagnostics(capsys):
     assert payload["diagnostics"]["restarts_used"] == 8
 
 
-def test_gem_tol_flag(capsys):
-    code, out, _ = run(capsys, "gem", "--graph", "1", "--restarts", "4",
-                       "--tol", "1e-6")
-    assert code == 0
-    assert out == "GEM = 0.50000\n"
+@pytest.mark.parametrize("command", [["gem", "--graph", "1"],
+                                     ["classify", "--measure", "gcm"], ["rp-table"]],
+                         ids=["gem", "classify", "rp-table"])
+def test_tolerances_are_not_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
 
 def test_lc_command(capsys):

@@ -1,8 +1,9 @@
 """Source-layout rules for src/graphent, checked with the stdlib ast module.
 
 Every imported name is used (the package __init__ re-exports, so it is
-exempt), graphent modules import each other at module level only and
-only by public names, and those imports form no cycle.
+exempt, and its __all__ lists exactly what it imports, sorted),
+graphent modules import each other at module level only and only by
+public names, and those imports form no cycle.
 """
 
 import ast
@@ -42,6 +43,17 @@ def test_every_imported_name_is_used():
         unused += [f"{name}.py:{line} {alias}" for alias, line in imported.items()
                    if alias not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_package_all_lists_its_imports_sorted():
+    tree = MODULES["__init__"]
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__all__"]]
+    assert exported == sorted(exported)
+    assert set(exported) == imported
 
 
 def test_graphent_imports_are_module_level():

@@ -177,13 +177,27 @@ def test_gcm_plus_state_is_zero():
         assert gcm(plus_state(n)).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_gcm_rejects_single_qubit():
-    with pytest.raises(ValueError):
-        gcm(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        gcm(make_graph(1, []))
-    with pytest.raises(ValueError, match="zero norm"):
-        gcm(np.zeros(4))
+def test_single_qubit_measures_are_zero():
+    # One qubit has no bipartition: the GCM radicand is 2 - 2 - 0.
+    for state in (make_graph(1, []), np.array([1.0, 0.0])):
+        assert gcm(state).value == 0.0
+        assert gem(state).value == 0.0
+
+
+def test_statevector_entry_points_reject_degenerate_amplitudes():
+    path = build_graph_state(make_graph(3, [(1, 2), (2, 3)]))
+    phi = ProductState((np.array([1.0, 0.0], dtype=complex),) * 3)
+    entry_points = [gcm, gem, lambda s: see_saw_step(s, phi, 1),
+                    lambda s: product_fidelity(s, phi),
+                    lambda s: gem_bipartite_oracle(s, (1,)),
+                    lambda s: brute_force_gem(s, grid_density=6)]
+    nan, inf = path.copy(), path.copy()
+    nan[0], inf[0] = np.nan, np.inf
+    for state, message in ((nan, "not finite"), (inf, "not finite"),
+                           (np.zeros(8), "zero norm")):
+        for measure in entry_points:
+            with pytest.raises(ValueError, match=message):
+                measure(state)
 
 
 def test_gcm_deterministic():
@@ -282,10 +296,6 @@ def test_see_saw_step_degenerate_contraction():
 def test_gem_config_validation():
     with pytest.raises(ValueError):
         GemConfig(restarts=0)
-    with pytest.raises(ValueError):
-        GemConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        GemConfig(max_iterations=0)
     with pytest.raises(ValueError, match="seed"):
         GemConfig(seed=-1)
 
@@ -353,8 +363,8 @@ def test_gem_graph_path_matches_statevector_path_on_catalog():
 
 def test_gem_rotated_cycle_statevector_within_budget():
     # A statevector's ceiling reduces every cut of at most n/2 qubits one
-    # at a time, about 5x more work per qubit (0.5 s at n = 12). Local
-    # unitaries keep the Schmidt weights, so it is the cycle's 2^-6.
+    # at a time, about 5x more work per qubit (the README gives figures).
+    # Local unitaries keep the Schmidt weights, so it is the cycle's 2^-6.
     rng = np.random.default_rng(12)
     psi = build_graph_state(make_graph(12, [(v, v % 12 + 1) for v in range(1, 13)]))
     for q in range(1, 13):
@@ -382,7 +392,7 @@ def test_gem_certifies_every_id_at_the_cut_rank_bound():
         assert res.diagnostics.iterations <= 10, e.id
 
 
-def test_gem_reports_its_method_and_stop_reason():
+def test_gem_reports_its_method_and_stop_reason(monkeypatch):
     path = make_graph(3, [(1, 2), (2, 3)])
     res = gem(build_graph_state(path), GemConfig(restarts=8))
     assert res.method == "certified"
@@ -397,7 +407,8 @@ def test_gem_reports_its_method_and_stop_reason():
     assert res.value == pytest.approx(0.86855, abs=5e-6)
     # Every restart sweeps at least twice; frozen ones stop counting.
     assert 2 * 8 <= d.restart_sweeps < d.iterations * 8
-    capped = gem(c5, GemConfig(restarts=8, max_iterations=3)).diagnostics
+    monkeypatch.setattr("graphent.measures._MAX_SWEEPS", 3)
+    capped = gem(c5, GemConfig(restarts=8)).diagnostics
     assert not capped.converged
     assert capped.iterations == 3
     assert capped.restart_sweeps == 24
