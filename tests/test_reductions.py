@@ -1,12 +1,23 @@
 """Reduced-state and purity tests."""
 
 import itertools
+import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from graphent.graphs import cut_rank_histogram, local_complement, make_graph, relabel
+from graphent.catalog import all_entries
+from graphent.graphs import (
+    MAX_VERTICES,
+    cut_rank_histogram,
+    local_complement,
+    make_graph,
+    relabel,
+)
+from graphent.measures import gcm
 from graphent.reductions import (
     partial_trace,
     purity,
@@ -202,20 +213,40 @@ def gf2_rank(rows) -> int:
     return len(basis)
 
 
-def test_cut_rank_histogram_matches_per_subset_rank():
-    # The kernel against a plain rank of each cut's adjacency block, up
-    # to n = 16 where no statevector check reaches (about 2 s).
-    def histogram(g):
-        counts = [0]
-        full = (1 << g.n) - 1
-        for subset in range(1, 1 << (g.n - 1)):
-            side = subset if subset.bit_count() <= g.n // 2 else full & ~subset
-            k = gf2_rank(g.adj[v] & ~side for v in range(g.n) if side >> v & 1)
-            counts += [0] * (k + 1 - len(counts))
-            counts[k] += 1
-        return counts
+def oracle_histogram(g) -> list[int]:
+    """cut_rank_histogram by a plain rank of each cut's adjacency block."""
+    counts = [0]
+    full = (1 << g.n) - 1
+    for subset in range(1, 1 << (g.n - 1)):
+        side = subset if subset.bit_count() <= g.n // 2 else full & ~subset
+        k = gf2_rank(g.adj[v] & ~side for v in range(g.n) if side >> v & 1)
+        counts += [0] * (k + 1 - len(counts))
+        counts[k] += 1
+    return counts
 
-    graphs = [make_graph(1, []), make_graph(2, []), make_graph(2, [(1, 2)])]
+
+def random_graphs(sizes, per_size: int) -> list:
+    """per_size seeded random graphs of each size, of densities spread
+    over (0, 1)."""
+    graphs = []
+    for n in sizes:
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(per_size):
+            density = rng.random()
+            graphs.append(make_graph(n, [p for p in pairs if rng.random() < density]))
+    return graphs
+
+
+def test_cut_rank_histogram_matches_per_subset_rank():
+    # The kernel against a plain rank of each cut's adjacency block: on
+    # every labeled graph with n <= 5 (1,099 graphs), and up to n = 16
+    # where no statevector check reaches.
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graphs += [make_graph(n, [p for p, k in zip(pairs, keep) if k])
+                   for keep in itertools.product((False, True), repeat=len(pairs))]
     for n in range(11, 17):
         rng = random.Random(n)
         pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -223,5 +254,33 @@ def test_cut_rank_histogram_matches_per_subset_rank():
         graphs.append(make_graph(n, [(v, v + 1) for v in range(1, n, 2)]))
         graphs += [make_graph(n, [p for p in pairs if rng.random() < density])
                    for density in (0.2, 0.5, 0.9)]
+    for n in (12, 16):  # empty, K_n, star, K_n minus a perfect matching
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graphs += [make_graph(n, []), make_graph(n, pairs),
+                   make_graph(n, [(1, v) for v in range(2, n + 1)]),
+                   make_graph(n, [(i, j) for i, j in pairs if i % 2 == 0 or j != i + 1])]
     for g in graphs:
-        assert cut_rank_histogram(g).tolist() == histogram(g), g
+        assert cut_rank_histogram(g).tolist() == oracle_histogram(g), g
+
+
+def test_gcm_of_a_graph_is_the_exact_sum_over_the_oracle_histogram():
+    # Each purity 2^-k is dyadic, so the sum and hence the value are
+    # pinned with ==, not a tolerance.
+    graphs = [e.graph for e in all_entries()] + random_graphs(range(2, 17), 2)
+    for g in graphs:
+        s = float(sum(Fraction(c, 2**k) for k, c in enumerate(oracle_histogram(g))))
+        want = 2.0 ** (1.0 - g.n / 2.0) * math.sqrt(2**g.n - 2 - 2.0 * s)
+        assert gcm(g).value == want, g
+
+
+def test_cut_rank_histogram_memory_at_max_vertices():
+    # One call at n = MAX_VERTICES holds a few arrays of 2^(n-1) int64.
+    g = random_graphs([MAX_VERTICES], 1)[0]
+    cut_rank_histogram(g)
+    tracemalloc.start()
+    try:
+        cut_rank_histogram(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -93,13 +93,19 @@ def test_apply_cz_targets_correct_bits():
 
 
 def test_build_matches_sequential_cz():
+    # Every amplitude is +-2^(-n/2), so the doubling build and one CZ per
+    # edge agree to the bit, and no imaginary part is a negative zero
+    # (graphent state would print it as -0.00000).
     rng = random.Random(3)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 6))
-        state = plus_state(g.n)
+    sizes = [rng.randint(2, 6) for _ in range(20)] + list(range(1, 17))
+    for n in sizes:
+        g = random_graph(rng, n)
+        state = plus_state(n)
         for i, j in g.edges:
             state = apply_cz(state, i, j)
-        assert np.allclose(build_graph_state(g), state, atol=1e-14)
+        built = build_graph_state(g)
+        assert np.array_equal(built, state), g
+        assert not np.signbit(built.imag).any(), g
 
 
 # Closed-form expansions in mixed local bases, each certified by the
