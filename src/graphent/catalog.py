@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from graphent.graphs import MAX_VERTICES, Graph, make_graph
+from graphent.graphs import MAX_VERTICES, Graph, is_int, make_graph
 
 # id: (n, edges, reference gcm, reference gem)
 _TABLE = {
@@ -93,8 +93,9 @@ _ENTRIES = {i: CatalogEntry(i, make_graph(n, edges), ref_gcm, ref_gem)
 
 
 def catalog_get(graph_id: int) -> CatalogEntry:
-    """Entry by 1-based id; raises for ids outside 1..45."""
-    if graph_id not in _ENTRIES:
+    """Entry by 1-based id; raises for ids outside 1..45 and for a
+    non-int id, such as True or 1.0, which would otherwise hash to 1."""
+    if not is_int(graph_id) or graph_id not in _ENTRIES:
         raise ValueError(f"catalog id must be in 1..{len(_TABLE)}, got {graph_id!r}")
     return _ENTRIES[graph_id]
 
@@ -102,11 +103,6 @@ def catalog_get(graph_id: int) -> CatalogEntry:
 def all_entries() -> list[CatalogEntry]:
     """All 45 entries in id order, as a new list on each call."""
     return list(_ENTRIES.values())
-
-
-def ids_with_n(n: int) -> list[int]:
-    """Catalog ids whose graph has exactly n vertices."""
-    return [i for i in sorted(_TABLE) if _TABLE[i][0] == n]
 
 
 def parse_edge_list(text: str) -> Graph:

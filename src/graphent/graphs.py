@@ -82,16 +82,17 @@ class LcOrbit:
         return sorted(self.representatives, key=lambda g: (g.n, g.edges))
 
 
-def _is_int(a) -> bool:
-    """True if a is an int but not a bool, the one type a vertex (or a
-    vertex count) may have: True would otherwise pass as vertex 1."""
+def is_int(a) -> bool:
+    """True if a is an int but not a bool, the one type a vertex, a
+    vertex count, a budget, a catalog id or a GemConfig field may have:
+    True would otherwise pass as 1."""
     return isinstance(a, int) and not isinstance(a, bool)
 
 
 def check_label(label, n: int, kind: str = "vertex") -> None:
     """The one rule for vertex and qubit labels: an int, not a bool, in
     1..n. Raises ValueError naming the label as a vertex or a qubit."""
-    if not _is_int(label) or not 1 <= label <= n:
+    if not is_int(label) or not 1 <= label <= n:
         raise ValueError(f"{kind} {label!r} out of range for n={n}")
 
 
@@ -101,7 +102,7 @@ def make_graph(n: int, edges) -> Graph:
     Accepts any iterable of 2-element vertex pairs (tuples, lists or
     sets); duplicate edges collapse and pair order is normalized.
     """
-    if not _is_int(n) or not 1 <= n <= MAX_VERTICES:
+    if not is_int(n) or not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
     adj = [0] * n
     for raw in edges:
@@ -111,7 +112,7 @@ def make_graph(n: int, edges) -> Graph:
         if len(pair) != 2:
             raise ValueError(f"edge {raw!r} is not a vertex pair")
         i, j = pair
-        if not (_is_int(i) and _is_int(j)):
+        if not (is_int(i) and is_int(j)):
             raise ValueError(f"edge {raw!r} has non-integer endpoints")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
@@ -150,7 +151,7 @@ def _local_complement(g: Graph, a: int) -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Apply a vertex permutation; perm[v-1] is the image of vertex v."""
     perm = tuple(perm)
-    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, g.n + 1)):
+    if not all(map(is_int, perm)) or sorted(perm) != list(range(1, g.n + 1)):
         raise ValueError(f"not a bijection on 1..{g.n}: {perm!r}")
     return Graph(_relabel(g.adj, perm))
 
@@ -307,26 +308,6 @@ def canonical_form(g: Graph) -> Graph:
     return _canonical_with_perm(g)[0]
 
 
-def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
-    """An edge-preserving bijection from g1's vertices onto g2's, or None.
-
-    The witness f is returned as a tuple with f(v) = perm[v-1];
-    relabel(g1, perm) == g2 holds whenever a witness is found.
-    """
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return None
-    c1, p1, _ = _canonical_with_perm(g1)
-    c2, p2, _ = _canonical_with_perm(g2)
-    if c1 != c2:
-        return None
-    return tuple(p2.index(label) + 1 for label in p1)
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """True if some bijection maps one edge set exactly onto the other."""
-    return find_isomorphism(g1, g2) is not None
-
-
 def _lc_search(g: Graph, max_size: int,
                target: Graph | None = None) -> tuple[set[Graph], int]:
     """Breadth-first closure of g under local complementation, modulo
@@ -370,14 +351,22 @@ def _lc_search(g: Graph, max_size: int,
     return reps, searches
 
 
+def _check_budget(max_size) -> None:
+    """An LC budget is an int of at least 1: a float NaN would pass a
+    bare comparison and disable the budget."""
+    if not is_int(max_size):
+        raise ValueError(f"max_size must be an int, got {max_size!r}")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+
+
 def lc_orbit(g: Graph, max_size: int = LC_BUDGET) -> LcOrbit:
     """Closure of g under local complementation, modulo isomorphism.
 
     Raises OrbitBudgetExceeded if the closure would grow past max_size
     representatives.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    _check_budget(max_size)
     reps, searches = _lc_search(g, max_size)
     return LcOrbit(frozenset(reps), searches)
 
@@ -391,8 +380,7 @@ def are_lc_equivalent(g1: Graph, g2: Graph, max_size: int = LC_BUDGET) -> bool:
     rejected without a search. Otherwise g1's orbit is searched until it
     reaches g2, so max_size binds only when g2 is not reached first.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    _check_budget(max_size)
     if g1.n != g2.n:
         return False
     if cut_rank_histogram(g1).tolist() != cut_rank_histogram(g2).tolist():

@@ -41,9 +41,9 @@ import numpy as np
 from graphent.graphs import (
     MAX_VERTICES,
     Graph,
-    check_label,
     cut_rank_histogram,
     independence_number,
+    is_int,
 )
 from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state, num_qubits
@@ -56,27 +56,8 @@ _TOLERANCE = 1e-12
 
 
 class DegenerateContractionError(RuntimeError):
-    """A contraction against the other factors vanished in see_saw_step,
-    or a gem start stayed degenerate through _MAX_REDRAWS redraws."""
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """Fully separable n-qubit state as a tuple of single-qubit factors."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for k, f in enumerate(self.factors):
-            f = np.asarray(f)
-            if f.shape != (2,):
-                raise ValueError(f"factor {k + 1} has shape {f.shape}, expected (2,)")
-            if abs(np.vdot(f, f).real - 1.0) > 1e-12:
-                raise ValueError(f"factor {k + 1} is not unit-norm")
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
+    """A gem start's qubit-1 contraction against its other factors
+    vanished through _MAX_REDRAWS redraws."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +70,9 @@ class GemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("restarts", self.restarts), ("seed", self.seed)):
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -182,22 +166,6 @@ def _gcm_result(n: int, purity_sum: float, method: str) -> MeasureResult:
     return MeasureResult(kind="GCM", value=float(value), method=method)
 
 
-def product_state_vector(phi: ProductState) -> np.ndarray:
-    """Full 2^n statevector of a product state."""
-    v = np.array([1.0 + 0j])
-    for f in phi.factors:
-        v = np.kron(v, np.asarray(f, dtype=complex))
-    return v
-
-
-def product_fidelity(state: np.ndarray, phi: ProductState) -> float:
-    """|<phi|state>|^2."""
-    s = _normalized(state)
-    if s.size != 2**phi.n:
-        raise ValueError(f"state has {s.size} amplitudes, product state needs {2**phi.n}")
-    return float(abs(np.vdot(product_state_vector(phi), s)) ** 2)
-
-
 def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched a @ b by einsum, which never hands work to threaded BLAS:
     that stalls whenever another process holds a core."""
@@ -226,29 +194,6 @@ def _environments(psi: np.ndarray, factors: np.ndarray):
         if k + 1 < n:
             f = np.conj(factors[:, k, None, :])
             left = _bmm(left.reshape(r, -1, 1), f).reshape(r, 1, -1)
-
-
-def see_saw_step(state: np.ndarray, phi: ProductState, k: int) -> ProductState:
-    """Replace factor k by its closed-form optimum, others held fixed.
-
-    The optimum is the k-th contraction of one _environments pass,
-    normalized; the product fidelity never decreases under it. Raises
-    DegenerateContractionError if that contraction vanishes.
-    """
-    n = num_qubits(state)
-    if n != phi.n:
-        raise ValueError(f"state has {n} qubits but product state has {phi.n}")
-    check_label(k, n, "qubit")
-    envs = _environments(_normalized(state), np.stack(phi.factors)[None])
-    env = next(itertools.islice(envs, k - 1, None))[0]
-    norm = np.linalg.norm(env)
-    if norm < _DEGENERATE_NORM:
-        raise DegenerateContractionError(
-            f"contraction at qubit {k} has norm {norm:.3e}"
-        )
-    factors = list(phi.factors)
-    factors[k - 1] = env / norm
-    return ProductState(tuple(factors))
 
 
 def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Reduced density matrices, subsystem purities and top Schmidt weights
-of statevectors.
+"""Subsystem purities and top Schmidt weights of statevectors.
 
-A subsystem is given as a collection of 1-indexed qubit labels and its
-reduction is formed from the state's amplitudes; the full density
-matrix is exposed for inspection and cross-checking. Graph states need
-no statevector for their purities: see graphs.cut_rank_histogram.
+A subsystem is given as a collection of 1-indexed qubit labels. Each
+quantity comes from the Gram matrix of the state's amplitudes on the
+smaller side of the cut, so no full reduced density matrix is formed.
+Graph states need no statevector for their purities: see
+graphs.cut_rank_histogram.
 """
 
 from __future__ import annotations
@@ -37,30 +37,6 @@ def _split_matrix(state: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarra
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
     t = np.transpose(t, kept_axes + other_axes)
     return t.reshape(2 ** len(keep), 2 ** (n - len(keep)))
-
-
-def partial_trace(state: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, tracing out the rest.
-
-    Rows and columns of the result are indexed by the kept qubits in
-    the order given, first label most significant.
-    """
-    n, keep = _subset(state, keep)
-    m = _split_matrix(state, keep, n)
-    return m @ m.conj().T
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2) for a density matrix; validates Hermiticity and trace."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError(f"density matrix trace is {np.trace(rho).real}, expected 1")
-    # Tr(rho^2) = Frobenius norm squared for Hermitian rho
-    return float(np.sum(np.abs(rho) ** 2))
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphent.graphs import MAX_VERTICES, Graph, check_label, neighbors
+from graphent.graphs import Graph, check_label, neighbors
 
 # exp(-i pi/4 X): square root of X up to phase
 _SQRT_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -26,26 +26,6 @@ def num_qubits(state: np.ndarray) -> int:
     if size < 2 or size & (size - 1):
         raise ValueError(f"statevector length {size} is not a power of two")
     return size.bit_length() - 1
-
-
-def plus_state(n: int) -> np.ndarray:
-    """|+>^n: the uniform superposition with amplitude 2^(-n/2)."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"qubit count must be in 1..{MAX_VERTICES}, got {n}")
-    return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
-
-
-def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Controlled-Z between qubits i and j: negate amplitudes with both bits set."""
-    n = num_qubits(state)
-    check_label(i, n, "qubit")
-    check_label(j, n, "qubit")
-    if i == j:
-        raise ValueError(f"bad qubit pair ({i}, {j}) for n={n}")
-    out = np.array(state, dtype=complex)
-    mask = (1 << (n - i)) | (1 << (n - j))
-    out[(np.arange(out.size) & mask) == mask] *= -1.0
-    return out
 
 
 def build_graph_state(g: Graph) -> np.ndarray:

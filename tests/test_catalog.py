@@ -11,7 +11,6 @@ from graphent.catalog import (
     catalog_get,
     catalog_size,
     export_corpus,
-    ids_with_n,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -29,6 +28,10 @@ def test_catalog_get_bounds():
     with pytest.raises(ValueError):
         catalog_get(46)
     assert catalog_get(1).id == 1
+    # True and 1.0 hash as 1, so they used to return entry 1.
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            catalog_get(bad)
 
 
 def test_all_entries_returns_a_fresh_list():
@@ -53,15 +56,10 @@ def test_known_entries():
 def test_bucket_counts():
     counts = Counter(e.n for e in all_entries())
     assert counts == {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26}
-    for n, count in counts.items():
-        assert len(ids_with_n(n)) == count
     # id ranges per vertex count
-    assert ids_with_n(2) == [1]
-    assert ids_with_n(3) == [2]
-    assert ids_with_n(4) == [3, 4]
-    assert ids_with_n(5) == [5, 6, 7, 8]
-    assert ids_with_n(6) == list(range(9, 20))
-    assert ids_with_n(7) == list(range(20, 46))
+    ids = {n: [e.id for e in all_entries() if e.n == n] for n in counts}
+    assert ids == {2: [1], 3: [2], 4: [3, 4], 5: [5, 6, 7, 8],
+                   6: list(range(9, 20)), 7: list(range(20, 46))}
 
 
 def test_all_connected():

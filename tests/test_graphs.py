@@ -17,10 +17,8 @@ from graphent.graphs import (
     OrbitBudgetExceeded,
     are_lc_equivalent,
     canonical_form,
-    find_isomorphism,
     independence_number,
     is_connected,
-    is_isomorphic,
     lc_orbit,
     local_complement,
     make_graph,
@@ -347,14 +345,10 @@ def test_cocktail_party_canonical_form_within_budget():
 def test_path_vs_star_not_isomorphic():
     path = make_graph(4, [(1, 2), (2, 3), (3, 4)])
     star = make_graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert not is_isomorphic(path, star)
-    assert find_isomorphism(path, star) is None
-
-
-def test_find_isomorphism_needs_equal_counts():
-    path = make_graph(4, [(1, 2), (2, 3), (3, 4)])
-    assert find_isomorphism(path, make_graph(5, [(1, 2), (2, 3), (3, 4)])) is None
-    assert find_isomorphism(path, make_graph(4, [(1, 2), (2, 3)])) is None
+    assert canonical_form(path) != canonical_form(star)
+    # Nor is the path isomorphic to one with another vertex or edge count.
+    for other in (make_graph(5, [(1, 2), (2, 3), (3, 4)]), make_graph(4, [(1, 2), (2, 3)])):
+        assert canonical_form(path) != canonical_form(other)
 
 
 @pytest.mark.parametrize("edges, budget", [
@@ -373,28 +367,28 @@ def test_symmetric_canonical_form_within_budget(edges, budget):
 
 
 @pytest.mark.parametrize("n", [10, 16])
-def test_find_isomorphism_rejects_path_vs_star_fast(n):
+def test_canonical_form_separates_path_and_star_fast(n):
     path = make_graph(n, [(v, v + 1) for v in range(1, n)])
     star = make_graph(n, [(1, v) for v in range(2, n + 1)])
     start = time.perf_counter()
-    assert find_isomorphism(path, star) is None
+    assert canonical_form(path) != canonical_form(star)
     assert time.perf_counter() - start < 0.5
 
 
 def test_isomorphism_witness_relabels_exactly():
+    # The permutation the canonical search returns, which _lc_search
+    # uses to map vertices onto the form, relabels the graph into it.
     rng = random.Random(37)
     for _ in range(40):
         n = rng.randint(2, 7)
         edges = [
             e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5
         ]
-        g1 = make_graph(n, edges)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        g2 = relabel(g1, tuple(perm))
-        w = find_isomorphism(g1, g2)
-        assert w is not None
-        assert relabel(g1, w) == g2
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        g = relabel(make_graph(n, edges), tuple(shuffled))
+        form, perm, _ = graphs._canonical_with_perm(g)
+        assert relabel(g, perm) == form
 
 
 def test_isomorphism_same_degrees_different_graphs():
@@ -406,7 +400,7 @@ def test_isomorphism_same_degrees_different_graphs():
         return sorted(sum(v in e for e in g.edges) for v in range(1, g.n + 1))
 
     assert degrees(g1) == degrees(g2) == [2] * 6
-    assert not is_isomorphic(g1, g2)
+    assert canonical_form(g1) != canonical_form(g2)
 
 
 def test_orbit_single_edge():
@@ -525,6 +519,16 @@ def test_orbit_budget_exceeded():
         lc_orbit(g, max_size=2)
     with pytest.raises(ValueError, match="at least 1"):
         lc_orbit(g, max_size=0)
+
+
+def test_lc_budget_must_be_an_int():
+    # NaN passed the "< 1" check and disabled the budget; True read as 1.
+    path = make_graph(4, [(1, 2), (2, 3), (3, 4)])
+    for budget in (float("nan"), True, 2.0):
+        for search in (lambda: lc_orbit(path, max_size=budget),
+                       lambda: are_lc_equivalent(path, path, max_size=budget)):
+            with pytest.raises(ValueError, match=f"max_size must be an int, got {budget!r}"):
+                search()
 
 
 def test_lc_equivalence_path_star():

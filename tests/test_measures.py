@@ -18,18 +18,15 @@ from graphent.measures import (
     DegenerateContractionError,
     GemConfig,
     GemDiagnostics,
-    ProductState,
+    _environments,
     _fidelity_ceiling,
     brute_force_gem,
     gcm,
     gem,
     gem_bipartite_oracle,
-    product_fidelity,
-    product_state_vector,
-    see_saw_step,
 )
 from graphent.reductions import subset_purity
-from graphent.states import apply_local_unitary, build_graph_state, plus_state
+from graphent.states import apply_local_unitary, build_graph_state
 
 from test_states import ket, random_unitary
 
@@ -40,9 +37,19 @@ def ghz(n: int) -> np.ndarray:
     return psi
 
 
-def random_product_state(rng: np.random.Generator, n: int) -> ProductState:
-    raw = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    return ProductState(tuple(raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+def random_factors(rng: np.random.Generator, shape) -> np.ndarray:
+    """Random unit single-qubit factors, of shape shape + (2,)."""
+    raw = rng.normal(size=(*shape, 2)) + 1j * rng.normal(size=(*shape, 2))
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+def product_vector(factors) -> np.ndarray:
+    """The 2^n statevector of a product of single-qubit factors, qubit 1
+    first."""
+    v = np.array([1.0 + 0j])
+    for f in factors:
+        v = np.kron(v, f)
+    return v
 
 
 # Value anchors, one per vertex count, checked to the published precision.
@@ -174,7 +181,7 @@ def test_gcm_and_gem_fail_fast_past_max_vertices():
 
 def test_gcm_plus_state_is_zero():
     for n in (2, 4, 6):
-        assert gcm(plus_state(n)).value == pytest.approx(0.0, abs=1e-12)
+        assert gcm(build_graph_state(make_graph(n, []))).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_qubit_measures_are_zero():
@@ -186,10 +193,7 @@ def test_single_qubit_measures_are_zero():
 
 def test_statevector_entry_points_reject_degenerate_amplitudes():
     path = build_graph_state(make_graph(3, [(1, 2), (2, 3)]))
-    phi = ProductState((np.array([1.0, 0.0], dtype=complex),) * 3)
-    entry_points = [gcm, gem, lambda s: see_saw_step(s, phi, 1),
-                    lambda s: product_fidelity(s, phi),
-                    lambda s: gem_bipartite_oracle(s, (1,)),
+    entry_points = [gcm, gem, lambda s: gem_bipartite_oracle(s, (1,)),
                     lambda s: brute_force_gem(s, grid_density=6)]
     nan, inf = path.copy(), path.copy()
     nan[0], inf[0] = np.nan, np.inf
@@ -220,77 +224,83 @@ def test_gcm_local_unitary_invariance():
         assert gcm(rotated).value == pytest.approx(base, abs=1e-9)
 
 
-def test_product_state_validation():
-    with pytest.raises(ValueError):
-        ProductState((np.array([1.0, 1.0]),))
-    with pytest.raises(ValueError):
-        ProductState((np.array([1.0, 0.0, 0.0]),))
+def einsum_environment(psi: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
+    """The contraction of psi with the conjugate of every factor but k,
+    one einsum over the full 2^n tensor per restart: the oracle for
+    _environments."""
+    n = factors.shape[1]
+    letters = "abcdefghijklmnop"[:n]
+    spec = ",".join(c for j, c in enumerate(letters) if j != k)
+    return np.stack([
+        np.einsum(f"{letters},{spec}->{letters[k]}", psi.reshape((2,) * n),
+                  *(np.conj(f[j]) for j in range(n) if j != k))
+        for f in factors
+    ])
 
 
-def test_product_state_vector_and_fidelity():
-    phi = ProductState((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    assert np.allclose(product_state_vector(phi), ket("01"))
-    psi = ghz(2)
-    assert product_fidelity(psi, phi) == pytest.approx(0.0, abs=1e-15)
-    aligned = ProductState((np.array([1.0, 0.0]), np.array([1.0, 0.0])))
-    assert product_fidelity(psi, aligned) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError, match="product state needs 4"):
-        product_fidelity(ghz(3), phi)
+def see_saw_sweep(psi: np.ndarray, factors: np.ndarray):
+    """One see-saw sweep as gem runs it: each yield of _environments is
+    normalized into factors[:, k] before the next is asked for. Yields
+    k, the contraction and the oracle's contraction with the factors as
+    they stood."""
+    for k, env in enumerate(_environments(psi, factors)):
+        want = einsum_environment(psi, factors, k)
+        factors[:, k] = env / np.linalg.norm(env, axis=1)[:, None]
+        yield k, env, want
 
 
-def test_see_saw_step_fixed_point_on_product_state():
-    rng = np.random.default_rng(7)
-    phi = random_product_state(rng, 3)
-    psi = product_state_vector(phi)
-    for k in (1, 2, 3):
-        stepped = see_saw_step(psi, phi, k)
-        # same state up to phase on the updated factor
-        f = abs(np.vdot(stepped.factors[k - 1], phi.factors[k - 1]))
-        assert f == pytest.approx(1.0, abs=1e-12)
+def product_fidelities(psi: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    return np.array([abs(np.vdot(product_vector(f), psi)) ** 2 for f in factors])
+
+
+def test_environments_match_einsum_oracle():
+    # Four restarts swept together, each factor overwritten before the
+    # next contraction is asked for, as gem does: every contraction is
+    # the oracle's on the factors as they stand.
+    rng = np.random.default_rng(23)
+    for n in range(2, 7):
+        raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi = raw / np.linalg.norm(raw)
+        factors = random_factors(rng, (4, n))
+        for _sweep in range(3):
+            for k, env, want in see_saw_sweep(psi, factors):
+                assert np.allclose(env, want, rtol=0, atol=1e-12), (n, k)
 
 
 def test_see_saw_step_monotone_fidelity():
+    # A step's fidelity, the squared norm of its contraction, is the
+    # product fidelity after the update and never below the one before.
     rng = np.random.default_rng(99)
     for _ in range(20):
-        n = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 7))
         raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi = raw / np.linalg.norm(raw)
-        phi = random_product_state(rng, n)
-        f = product_fidelity(psi, phi)
-        for k in range(1, n + 1):
-            phi = see_saw_step(psi, phi, k)
-            f_new = product_fidelity(psi, phi)
-            assert f_new >= f - 1e-12
-            f = f_new
+        factors = random_factors(rng, (4, n))
+        fidelity = product_fidelities(psi, factors)
+        for _sweep in range(3):
+            for k, env, _ in see_saw_sweep(psi, factors):
+                after = np.linalg.norm(env, axis=1) ** 2
+                assert np.all(after >= fidelity - 1e-12), (n, k)
+                assert np.allclose(after, product_fidelities(psi, factors),
+                                   rtol=0, atol=1e-12), (n, k)
+                fidelity = after
+
+
+def test_see_saw_step_fixed_point_on_product_state():
+    # On a product state, each factor is already optimal: a step gives it
+    # back up to phase.
+    rng = np.random.default_rng(7)
+    factors = random_factors(rng, (1, 3))
+    start = factors.copy()
+    for k, _, _ in see_saw_sweep(product_vector(factors[0]), factors):
+        assert abs(np.vdot(factors[0, k], start[0, k])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_see_saw_sweep_on_ghz_from_aligned_start():
-    psi = ghz(3)
-    phi = ProductState(tuple(np.array([1.0, 0.0], dtype=complex) for _ in range(3)))
-    for k in (1, 2, 3):
-        phi = see_saw_step(psi, phi, k)
-    assert product_fidelity(psi, phi) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_see_saw_step_validation():
-    psi = ghz(3)
-    phi = random_product_state(np.random.default_rng(5), 3)
-    with pytest.raises(ValueError, match="product state has 2"):
-        see_saw_step(psi, ProductState(phi.factors[:2]), 1)
-    for k in (0, 4, True):
-        with pytest.raises(ValueError, match=f"qubit {k} out of range"):
-            see_saw_step(psi, phi, k)
-
-
-def test_see_saw_step_degenerate_contraction():
-    psi = ghz(3)
-    phi = ProductState((
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-        np.array([1.0, 0.0], dtype=complex),
-    ))
-    with pytest.raises(DegenerateContractionError):
-        see_saw_step(psi, phi, 3)
+    factors = np.array([[[1.0, 0.0]] * 3], dtype=complex)
+    for _ in see_saw_sweep(ghz(3), factors):
+        pass
+    assert product_fidelities(ghz(3), factors)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gem_config_validation():
@@ -298,6 +308,12 @@ def test_gem_config_validation():
         GemConfig(restarts=0)
     with pytest.raises(ValueError, match="seed"):
         GemConfig(seed=-1)
+    # These passed validation, then gem failed inside numpy or range
+    # with a bare TypeError.
+    for field, bad in (("restarts", True), ("restarts", 2.5), ("seed", 1.5),
+                       ("seed", False)):
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {bad!r}"):
+            GemConfig(**{field: bad})
 
 
 _GEM_ANCHORS = [
@@ -422,9 +438,8 @@ def test_gem_floor_is_a_product_fidelity_below_the_ceiling():
     def check(g):
         chosen = brute_force_independent_set(g)
         floor = 0.5 ** (g.n - len(chosen))
-        phi = ProductState(tuple(plus if v in chosen else zero
-                                 for v in range(1, g.n + 1)))
-        assert product_fidelity(build_graph_state(g), phi) == pytest.approx(
+        phi = product_vector([plus if v in chosen else zero for v in range(1, g.n + 1)])
+        assert abs(np.vdot(phi, build_graph_state(g))) ** 2 == pytest.approx(
             floor, abs=1e-12)
         assert floor <= _fidelity_ceiling(g)
 
@@ -475,7 +490,7 @@ def test_gem_graphs_off_the_bound_keep_the_see_saw():
 
 def test_gem_product_state_is_zero():
     rng = np.random.default_rng(21)
-    psi = product_state_vector(random_product_state(rng, 4))
+    psi = product_vector(random_factors(rng, (4,)))
     res = gem(psi, GemConfig(restarts=8, seed=3))
     assert res.value == pytest.approx(0.0, abs=1e-10)
 
@@ -530,7 +545,7 @@ def test_bipartite_oracle_bell():
 
 def test_bipartite_oracle_product_state():
     rng = np.random.default_rng(77)
-    psi = product_state_vector(random_product_state(rng, 3))
+    psi = product_vector(random_factors(rng, (3,)))
     for cut in ([1], [2], [3], [1, 2], [1, 3], [2, 3]):
         assert gem_bipartite_oracle(psi, cut) == pytest.approx(0.0, abs=1e-12)
 
@@ -576,7 +591,7 @@ def test_brute_force_gem_pole_aligned_product_state():
 
 def test_brute_force_gem_rejects_large_systems():
     with pytest.raises(ValueError):
-        brute_force_gem(plus_state(4))
+        brute_force_gem(ghz(4))
     with pytest.raises(ValueError, match="grid_density"):
         brute_force_gem(ghz(2), grid_density=1)
 

@@ -18,12 +18,7 @@ from graphent.graphs import (
     relabel,
 )
 from graphent.measures import gcm
-from graphent.reductions import (
-    partial_trace,
-    purity,
-    subset_purity,
-    top_schmidt_weight,
-)
+from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state
 
 from test_measures import for_random_graphs
@@ -51,10 +46,9 @@ def einsum_reduction(psi: np.ndarray, keep, n: int) -> np.ndarray:
 def test_bell_reduction_is_maximally_mixed():
     psi = build_graph_state(make_graph(2, [(1, 2)]))
     for q in (1, 2):
-        rho = partial_trace(psi, [q])
-        assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
-        assert purity(rho) == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(einsum_reduction(psi, [q], 2), np.eye(2) / 2, atol=1e-12)
         assert subset_purity(psi, [q]) == pytest.approx(0.5, abs=1e-12)
+        assert top_schmidt_weight(psi, [q]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_product_state_purity_is_one():
@@ -76,29 +70,6 @@ def test_ghz_single_qubit_purities():
         assert subset_purity(psi, [q]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_partial_trace_matches_einsum_oracle():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        psi = random_state(rng, n)
-        r = int(rng.integers(1, n))
-        keep = tuple(sorted(rng.choice(n, size=r, replace=False) + 1))
-        keep = tuple(int(q) for q in keep)
-        assert np.allclose(
-            partial_trace(psi, keep), einsum_reduction(psi, keep, n), atol=1e-12
-        )
-
-
-def test_partial_trace_respects_keep_order():
-    rng = np.random.default_rng(29)
-    psi = random_state(rng, 3)
-    r12 = partial_trace(psi, [1, 2])
-    r21 = partial_trace(psi, [2, 1])
-    # swapping the two kept qubits permutes rows/columns
-    swap = np.array([0, 2, 1, 3])
-    assert np.allclose(r21, r12[np.ix_(swap, swap)], atol=1e-12)
-
-
 def test_subset_purity_matches_dense_path():
     rng = np.random.default_rng(43)
     for _ in range(25):
@@ -106,8 +77,9 @@ def test_subset_purity_matches_dense_path():
         psi = random_state(rng, n)
         r = int(rng.integers(1, n))
         keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
+        rho = einsum_reduction(psi, keep, n)
         assert subset_purity(psi, keep) == pytest.approx(
-            purity(partial_trace(psi, keep)), abs=1e-11
+            np.trace(rho @ rho).real, abs=1e-11
         )
 
 
@@ -119,7 +91,7 @@ def test_top_schmidt_weight_matches_dense_path():
         r = int(rng.integers(1, n))
         keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
         comp = tuple(q for q in range(1, n + 1) if q not in keep)
-        dense = np.linalg.eigvalsh(partial_trace(psi, keep))[-1]
+        dense = np.linalg.eigvalsh(einsum_reduction(psi, keep, n))[-1]
         assert top_schmidt_weight(psi, keep) == pytest.approx(dense, abs=1e-12)
         assert top_schmidt_weight(psi, comp) == pytest.approx(dense, abs=1e-12)
 
@@ -156,31 +128,18 @@ def test_subset_purity_local_unitary_invariance():
                 )
 
 
-def test_purity_validation():
-    with pytest.raises(ValueError):
-        purity(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        purity(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        purity(np.ones((2, 3)))
-    assert purity(np.eye(2) / 2) == pytest.approx(0.5)
-
-
 def test_subset_validation():
     psi = build_graph_state(make_graph(2, [(1, 2)]))
-    with pytest.raises(ValueError):
-        partial_trace(psi, [])
-    with pytest.raises(ValueError):
-        partial_trace(psi, [1, 1])
-    with pytest.raises(ValueError):
-        partial_trace(psi, [3])
+    for keep in ([], [1, 1], [3]):
+        with pytest.raises(ValueError):
+            subset_purity(psi, keep)
     for cut in ([], [1, 1], [3], [1, 2]):
         with pytest.raises(ValueError):
             top_schmidt_weight(psi, cut)
     # Qubit labels follow the vertex rule: a bool, a numpy integer or an
     # unhashable object is not a label.
     for label in (True, np.int64(1), [1]):
-        for reduce in (partial_trace, subset_purity, top_schmidt_weight):
+        for reduce in (subset_purity, top_schmidt_weight):
             with pytest.raises(ValueError, match="out of range for n=2"):
                 reduce(psi, [label])
 
