@@ -17,6 +17,7 @@ from graphent.graphs import (
     make_graph,
     relabel,
 )
+from graphent import reductions
 from graphent.measures import gcm
 from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state
@@ -68,6 +69,19 @@ def test_ghz_single_qubit_purities():
     psi = build_graph_state(g)
     for q in (1, 2, 3):
         assert subset_purity(psi, [q]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_partial_trace_matches_einsum_oracle():
+    # The reduction subset_purity and top_schmidt_weight take their Gram
+    # matrices from: rho_keep = M M^dagger for the split matrix M.
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        psi = random_state(rng, n)
+        r = int(rng.integers(1, n))
+        keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
+        m = reductions._split_matrix(psi, keep, n)
+        assert np.allclose(m @ m.conj().T, einsum_reduction(psi, keep, n), atol=1e-12)
 
 
 def test_subset_purity_matches_dense_path():
