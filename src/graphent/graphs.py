@@ -84,8 +84,8 @@ class LcOrbit:
 
 def is_int(a) -> bool:
     """True if a is an int but not a bool, the one type a vertex, a
-    vertex count, a budget, a catalog id or a GemConfig field may have:
-    True would otherwise pass as 1."""
+    vertex count, a budget, a catalog id, a GemConfig field or a grid
+    density may have: True would otherwise pass as 1."""
     return isinstance(a, int) and not isinstance(a, bool)
 
 

@@ -25,10 +25,12 @@ fidelity exactly 2^-(n - alpha(G)). Where floor and ceiling meet, that
 is the value ("bound" path), with no statevector and no sweep.
 Otherwise the value comes from alternating (see-saw) optimization with
 random restarts, which stops, certified, as soon as it reaches the
-ceiling. Two independent oracles bound the geometric value: the largest
-Schmidt coefficient across any single bipartition (lower bound, exact
-for two qubits) and a dense parameter grid (upper bound, small systems
-only).
+ceiling. A sweep costs about 4n numpy calls for all restarts at once,
+none of which reaches BLAS: its threads stall whenever another process
+holds a core. Two independent oracles bound the geometric value: the
+largest Schmidt coefficient across any single bipartition (lower bound,
+exact for two qubits) and a dense parameter grid (upper bound, small
+systems only).
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class MeasureResult:
 
 def _normalized(state: np.ndarray) -> np.ndarray:
     s = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(s)
+    norm = np.sqrt(np.sum(s.real**2 + s.imag**2))
     if not np.isfinite(norm):
         raise ValueError("statevector amplitudes are not finite")
     if norm < 1e-12:
@@ -166,12 +168,6 @@ def _gcm_result(n: int, purity_sum: float, method: str) -> MeasureResult:
     return MeasureResult(kind="GCM", value=float(value), method=method)
 
 
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched a @ b by einsum, which never hands work to threaded BLAS:
-    that stalls whenever another process holds a core."""
-    return np.einsum("...ij,...jk->...ik", a, b)
-
-
 def _environments(psi: np.ndarray, factors: np.ndarray):
     """Yield, for k = 0..n-1, the contraction of the state psi with every
     factor except k, for all restarts at once; factors is (R, n, 2) and
@@ -180,20 +176,25 @@ def _environments(psi: np.ndarray, factors: np.ndarray):
     The optimal factor k is each row normalized, and the fidelity it
     achieves is the row's squared norm. The caller may overwrite
     factors[:, k] before asking for the next result, which then uses it.
-    One right-to-left pass caches the state contracted with the factors
-    after each k, and the factors before k enter as a running left
-    product, so a whole sweep costs about 3n batched contractions.
+    The factors after k enter as their product vector, built for every
+    k before the first result; psi absorbs each factor before k once it
+    is overwritten. A step is then two einsums and a conj for all R
+    restarts, over arrays of 2^(n-k) entries per restart with the long
+    axis innermost, so a sweep costs about 4n numpy calls. einsum never
+    reaches BLAS. matmul, matvec, vecmat and vecdot do, and OpenBLAS
+    threads a long product, which stalls whenever another process holds
+    a core, so none of them is used.
     """
     r, n = factors.shape[:2]
-    right = [psi.reshape(1, -1, 2)]
+    conj = factors.conj()
+    after = [np.ones((r, 1), dtype=complex)]
     for k in range(n - 1, 0, -1):
-        right.append(_bmm(right[-1], np.conj(factors[:, k, :, None])).reshape(r, -1, 2))
-    left = np.ones((r, 1, 1), dtype=complex)
+        after.append((conj[:, k, :, None] * after[-1][:, None, :]).reshape(r, -1))
+    state = psi.reshape(1, 2, -1)
     for k in range(n):
-        yield _bmm(left, right[n - 1 - k]).reshape(r, 2)
+        yield np.einsum("rjm,rm->rj", state, after[n - 1 - k])
         if k + 1 < n:
-            f = np.conj(factors[:, k, None, :])
-            left = _bmm(left.reshape(r, -1, 1), f).reshape(r, 1, -1)
+            state = np.einsum("rjm,rj->rm", state, factors[:, k].conj()).reshape(r, 2, -1)
 
 
 def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarray:
@@ -280,43 +281,39 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             )
         factors[bad] = [_draw_factors(cfg.seed, int(i), n, attempt) for i in bad]
         degenerate_redraws += bad.size
-    fidelities = np.zeros(r)
+    fidelities, swept = np.zeros(r), np.zeros(r)
     active = np.arange(r)
     restart_sweeps = 0
     iterations = 0
     method = "see-saw"
 
+    # Frozen restarts sat below the ceiling when they froze, so only the
+    # active ones can certify; fidelities is written as restarts freeze.
     for iterations in range(1, _MAX_SWEEPS + 1):
         restart_sweeps += active.size
         for k, env in enumerate(_environments(psi, factors)):
-            norms = np.linalg.norm(env, axis=1)
-            factors[:, k] = env / norms[:, None]
-        swept = norms**2
-        settled = np.abs(swept - fidelities[active]) < _TOLERANCE
-        fidelities[active] = swept
-        if np.max(fidelities) >= ceiling - _TOLERANCE:
+            size = np.abs(env)
+            norms = np.hypot(size[:, 0], size[:, 1])
+            np.divide(env, norms[:, None], out=factors[:, k])
+        previous, swept = swept, norms * norms
+        if swept.max() >= ceiling - _TOLERANCE:
             method = "certified"
             break
-        if iterations > 1:
-            active, factors = active[~settled], factors[~settled]
+        settled = np.abs(swept - previous) < _TOLERANCE
+        if iterations > 1 and settled.any():
+            fidelities[active] = swept
+            active, factors, swept = active[~settled], factors[~settled], swept[~settled]
             if active.size == 0:
                 break
-
-    converged = method == "certified" or active.size == 0
+    fidelities[active] = swept
     fidelities = np.clip(fidelities, 0.0, 1.0)
-    best_fid = float(np.max(fidelities))
-    best_index = int(np.flatnonzero(fidelities >= best_fid - _TIE_TOL)[0])
-    at_best = int(np.sum(fidelities >= best_fid - _TIE_TOL))
+    best_fid = float(fidelities.max())
+    at_best = np.flatnonzero(fidelities >= best_fid - _TIE_TOL)
     diag = GemDiagnostics(
-        restarts_used=r,
-        best_restart_index=best_index,
-        iterations=iterations,
-        converged=converged,
-        best_fidelity=best_fid,
-        degenerate_redraws=degenerate_redraws,
-        restarts_at_best=at_best,
-        restart_sweeps=restart_sweeps,
-        ceiling=ceiling,
+        restarts_used=r, best_restart_index=int(at_best[0]), iterations=iterations,
+        converged=method == "certified" or active.size == 0, best_fidelity=best_fid,
+        degenerate_redraws=degenerate_redraws, restarts_at_best=at_best.size,
+        restart_sweeps=restart_sweeps, ceiling=ceiling,
     )
     return MeasureResult(kind="GEM", value=1.0 - best_fid, method=method,
                          diagnostics=diag)
@@ -397,6 +394,8 @@ def brute_force_gem(state: np.ndarray, grid_density: int = 24) -> float:
     n = num_qubits(state)
     if n > 3:
         raise ValueError(f"grid search supports at most 3 qubits, got {n}")
+    if not is_int(grid_density):
+        raise ValueError(f"grid_density must be an int, got {grid_density!r}")
     if grid_density < 2:
         raise ValueError(f"grid_density must be >= 2, got {grid_density}")
     s = _normalized(state)
