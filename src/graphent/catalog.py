@@ -73,6 +73,9 @@ _TABLE = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog graph by its id, with the published GCM and GEM values
+    as reference fixtures (None for an entry built without them)."""
+
     id: int
     graph: Graph
     expected_gcm: float | None = None
@@ -84,6 +87,7 @@ class CatalogEntry:
 
 
 def catalog_size() -> int:
+    """Number of catalog entries; ids run 1..catalog_size()."""
     return len(_TABLE)
 
 

@@ -24,6 +24,9 @@ DEFAULT_GROUPING_TOL = 1e-4
 
 @dataclass(frozen=True)
 class MeasureClass:
+    """One equal-measure class: its 1-based index in ascending value order,
+    the members' mean value rounded to 5 decimals, and the sorted ids."""
+
     class_index: int
     value: float
     members: tuple[int, ...]
@@ -41,6 +44,9 @@ class RpEntry:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """A measure's classes over the whole catalog, with resolution power
+    per vertex count and cumulatively."""
+
     measure_kind: str
     classes: tuple[MeasureClass, ...]
     per_n: tuple[RpEntry, ...]

@@ -2,8 +2,11 @@
 
 Every pipeline stage is exposed as a subcommand with reproducible
 output: state, gcm, gem, lc, orbit, equiv, classify, rp-table, and
-verify-catalog. Graphs come from the built-in catalog (--graph N),
-inline edges (--edges "1 2,1 3"), or an edge-list file (--file PATH).
+verify-catalog. Each graph comes from exactly one source: the built-in
+catalog (--graph N), inline edges (--edges "1 2,1 3"), or an edge-list
+file (--file PATH); a missing or doubled source is a usage error
+(exit 2). verify-catalog --lc-pairwise runs equiv's test,
+are_lc_equivalent, on every pair of catalog graphs.
 
 Amplitude dumps order basis states with qubit 1 as the most
 significant bit: |q1 q2 ... qn> sits at index q1*2^(n-1) + ... + qn.
@@ -26,6 +29,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import sys
 from collections.abc import Callable
@@ -69,21 +73,11 @@ Result = tuple[int, Callable[[str], dict | list | str]]
 
 
 def _load_graph(args, suffix: str = "") -> Graph:
-    sources = [
-        ("graph" + suffix, getattr(args, "graph" + suffix, None)),
-        ("edges" + suffix, getattr(args, "edges" + suffix, None)),
-        ("file" + suffix, getattr(args, "file" + suffix, None)),
-    ]
-    given = [(name, value) for name, value in sources if value is not None]
-    if len(given) != 1:
-        opts = ", ".join("--" + name for name, _ in sources)
-        raise ValueError(f"exactly one of {opts} is required")
-    name, value = given[0]
-    if name.startswith("graph"):
-        return catalog_get(value).graph
-    if name.startswith("edges"):
-        return parse_edge_list(value.replace(",", "\n"))
-    with open(value) as fh:
+    if (gid := getattr(args, "graph" + suffix)) is not None:
+        return catalog_get(gid).graph
+    if (edges := getattr(args, "edges" + suffix)) is not None:
+        return parse_edge_list(edges.replace(",", "\n"))
+    with open(getattr(args, "file" + suffix)) as fh:
         return parse_edge_list(fh.read())
 
 
@@ -98,8 +92,7 @@ def _graph_dict(g: Graph) -> dict:
 
 
 def _gem_config(args) -> GemConfig:
-    return GemConfig(**{field: getattr(args, field) for field in ("restarts", "seed")
-                        if getattr(args, field) is not None})
+    return GemConfig(args.restarts, args.seed)
 
 
 def cmd_state(args) -> Result:
@@ -209,28 +202,12 @@ def cmd_verify_catalog(args) -> Result:
                    f"max deviation {worst_stab:.2e}"))
     checks.append(("lc-unitary", worst_lc < 1e-10, f"max deviation {worst_lc:.2e}"))
 
-    budget_hit = []
     if args.lc_pairwise:
-        owner: dict[Graph, int] = {}
-        clash = []
-        for e in entries:
-            try:
-                orbit = lc_orbit(e.graph, max_size=args.budget)
-            except OrbitBudgetExceeded:
-                budget_hit.append(e.id)
-                continue
-            for form in orbit.representatives:
-                if form in owner and owner[form] != e.id:
-                    clash.append((owner[form], e.id))
-                else:
-                    owner[form] = e.id
-        ok = not clash and not budget_hit
-        detail = f"{pairs}/{pairs} pairs disjoint"
-        if clash:
-            detail = f"shared orbits: {sorted(set(clash))}"
-        if budget_hit:
-            detail = f"budget exceeded for ids: {budget_hit}"
-        checks.append(("lc-pairwise", ok, detail))
+        shared = [(a.id, b.id) for a, b in itertools.combinations(entries, 2)
+                  if are_lc_equivalent(a.graph, b.graph)]
+        checks.append(("lc-pairwise", not shared,
+                       f"shared orbits: {shared}" if shared
+                       else f"{pairs}/{pairs} pairs disjoint"))
 
     passed = all(ok for _, ok, _ in checks)
 
@@ -252,12 +229,13 @@ def cmd_verify_catalog(args) -> Result:
 
 def _add_source_flags(p: argparse.ArgumentParser, suffix: str = "") -> None:
     tag = " (second graph)" if suffix else ""
-    p.add_argument(f"--graph{suffix}", type=int, metavar="N",
-                   help=f"catalog graph id 1..{catalog_size()}{tag}")
-    p.add_argument(f"--edges{suffix}", type=str, metavar="STR",
-                   help=f'inline edges like "1 2,1 3"{tag}')
-    p.add_argument(f"--file{suffix}", type=str, metavar="PATH",
-                   help=f"edge-list file{tag}")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(f"--graph{suffix}", type=int, metavar="N",
+                       help=f"catalog graph id 1..{catalog_size()}{tag}")
+    group.add_argument(f"--edges{suffix}", type=str, metavar="STR",
+                       help=f'inline edges like "1 2,1 3"{tag}')
+    group.add_argument(f"--file{suffix}", type=str, metavar="PATH",
+                       help=f"edge-list file{tag}")
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats=("table", "json", "csv")) -> None:
@@ -268,9 +246,9 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("table", "json", "csv
 
 
 def _add_gem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, metavar="R",
+    p.add_argument("--restarts", type=int, default=GemConfig.restarts, metavar="R",
                    help=f"random restarts (default {GemConfig.restarts})")
-    p.add_argument("--seed", type=int, metavar="S",
+    p.add_argument("--seed", type=int, default=GemConfig.seed, metavar="S",
                    help=f"restart stream seed (default {GemConfig.seed})")
 
 
@@ -338,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     pairs = catalog_size() * (catalog_size() - 1) // 2
     p.add_argument("--lc-pairwise", action="store_true",
                    help=f"also check all {pairs} orbit pairs are disjoint")
-    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
-                   help="orbit size budget per catalog graph for --lc-pairwise "
-                        f"(default {LC_BUDGET})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_catalog)
 

@@ -9,6 +9,7 @@ graphs.cut_rank_histogram.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -45,7 +46,7 @@ def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
     built on the smaller side."""
     n, keep = _subset(state, keep)
     gram = _smaller_gram(_split_matrix(state, keep, n))
-    return float(np.sum(np.abs(gram) ** 2))
+    return _checked(float(np.sum(np.abs(gram) ** 2)))
 
 
 def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
@@ -55,7 +56,17 @@ def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
     n, keep = _subset(state, cut)
     if len(keep) == n:
         raise ValueError(f"cut must be a proper subset, got {keep!r}")
-    return float(np.linalg.eigvalsh(_smaller_gram(_split_matrix(state, keep, n)))[-1])
+    return _checked(float(np.linalg.eigvalsh(_smaller_gram(_split_matrix(state, keep, n)))[-1]))
+
+
+def _checked(value: float) -> float:
+    """value, unless it shows the state had non-finite amplitudes or zero
+    norm: one comparison per cut, where normalizing would cost a pass."""
+    if not math.isfinite(value):
+        raise ValueError("statevector amplitudes are not finite")
+    if value <= 0.0:
+        raise ValueError("statevector has (near-)zero norm")
+    return value
 
 
 def _smaller_gram(m: np.ndarray) -> np.ndarray:

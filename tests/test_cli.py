@@ -53,11 +53,21 @@ def test_bad_catalog_id(capsys):
 
 
 def test_requires_exactly_one_source(capsys):
-    code, _, err = run(capsys, "state")
-    assert code == 1
-    assert "exactly one" in err
-    code, _, err = run(capsys, "state", "--graph", "1", "--edges", "1 2")
-    assert code == 1
+    # Each graph's sources form a required mutually exclusive group, so a
+    # missing or doubled source is a usage error, as for equiv's second graph.
+    for argv, message in (
+        (["state"], "one of the arguments --graph --edges --file is required"),
+        (["state", "--graph", "1", "--edges", "1 2"],
+         "argument --edges: not allowed with argument --graph"),
+        (["equiv", "--graph", "1"],
+         "one of the arguments --graph2 --edges2 --file2 is required"),
+        (["equiv", "--graph", "1", "--graph2", "1", "--file2", "g.txt"],
+         "argument --file2: not allowed with argument --graph2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_gcm_command(capsys):
@@ -298,27 +308,44 @@ def test_verify_catalog(capsys):
     assert details["lc-pairwise"] == "990/990 pairs disjoint"
 
 
-def test_verify_catalog_budget_exceeded(capsys):
-    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--budget", "50")
-    assert code == 1
-    assert "budget exceeded" in out
+def test_verify_catalog_has_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-catalog", "--lc-pairwise", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
-def test_verify_catalog_failing_csv_keeps_three_fields(capsys):
-    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--budget", "3",
-                       "--format", "csv")
-    assert code == 1
-    rows = list(csv.reader(io.StringIO(out)))
-    assert [len(row) for row in rows] == [3] * 6
-    assert rows[-1][2].startswith("budget exceeded for ids: [")
+def complete_entry(gid: int, n: int) -> CatalogEntry:
+    return CatalogEntry(gid, make_graph(n, list(itertools.combinations(range(1, n + 1), 2))))
 
 
-def test_verify_catalog_lc_pairwise_reports_shared_orbits(monkeypatch):
+@pytest.fixture
+def with_k4(monkeypatch):
     # K4 is LC-equivalent to the star on 4 vertices (id 3) but isomorphic
     # to no catalog entry, so only the orbit check fails.
     entries = all_entries()
-    k4 = CatalogEntry(46, make_graph(4, list(itertools.combinations(range(1, 5), 2))))
-    monkeypatch.setattr(cli, "all_entries", lambda: entries + [k4])
+    monkeypatch.setattr(cli, "all_entries", lambda: entries + [complete_entry(46, 4)])
+
+
+def test_verify_catalog_failing_csv_keeps_three_fields(capsys, with_k4):
+    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [3] * 6
+    assert rows[-1] == ["lc-pairwise", "false", "shared orbits: [(3, 46)]"]
+
+
+def test_verify_catalog_lc_pairwise_reports_every_shared_pair(monkeypatch, capsys):
+    # K5 is LC-equivalent to the star on 5 vertices (id 5), as K4 is to id 3.
+    entries = all_entries()
+    monkeypatch.setattr(cli, "all_entries",
+                        lambda: entries + [complete_entry(46, 4), complete_entry(47, 5)])
+    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise")
+    assert code == 1
+    assert "FAIL  lc-pairwise: shared orbits: [(3, 46), (5, 47)]\n" in out
+
+
+def test_verify_catalog_lc_pairwise_reports_shared_orbits(with_k4):
     args = cli.build_parser().parse_args(["verify-catalog", "--lc-pairwise"])
     code, render = args.func(args)
     assert code == 1
@@ -367,16 +394,16 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_verify_catalog_failure_still_reports(tmp_path, capsys, fmt):
+def test_verify_catalog_failure_still_reports(tmp_path, capsys, with_k4, fmt):
     code, out = run_both(tmp_path, capsys, "verify-catalog", "--lc-pairwise",
-                         "--budget", "50", "--format", fmt)
+                         "--format", fmt)
     assert code == 1
     if fmt == "json":
         payload = json.loads(out)
         assert payload["passed"] is False
         assert payload["checks"][-1]["name"] == "lc-pairwise"
     else:
-        assert "budget exceeded for ids" in out
+        assert "shared orbits: [(3, 46)]" in out
         assert out.count("\n") == 6
 
 

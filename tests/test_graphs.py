@@ -26,7 +26,8 @@ from graphent.graphs import (
     relabel,
 )
 
-from test_measures import brute_force_independent_set, for_random_graphs
+from test_measures import brute_force_independent_set
+from test_states import for_random_graphs
 
 
 def brute_force_canonical_edges(g):

@@ -84,3 +84,18 @@ def test_graphent_import_graph_has_no_cycle():
 
     for name in sorted(edges):
         visit(name, [])
+
+
+def test_every_exported_name_has_its_own_docstring():
+    # Read from the source, since a dataclass without a docstring gets a
+    # generated "Name(field: ...)" __doc__.
+    home = {a.name: node.module.split(".")[1] for node in MODULES["__init__"].body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+    def docstring(name):
+        for node in MODULES[home[name]].body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name:
+                return ast.get_docstring(node)
+
+    missing = [name for name in graphent.__all__ if not docstring(name)]
+    assert not missing, f"exported names without a docstring: {missing}"

@@ -22,8 +22,7 @@ from graphent.measures import gcm
 from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import build_graph_state
 
-from test_measures import for_random_graphs
-from test_states import random_unitary
+from test_states import for_random_graphs, random_unitary
 
 
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -74,6 +74,33 @@ def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
     return out
 
 
+def for_random_graphs(check, max_n: int) -> None:
+    """Run check on 60 derandomized hypothesis graphs with 2 <= n <= max_n,
+    and on three graphs with exactly max_n vertices, a size the draws
+    need not reach: the path, the complete graph and a seeded random one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top_pairs = list(itertools.combinations(range(1, max_n + 1), 2))
+    rng = random.Random(max_n)
+    top = [make_graph(max_n, [(v, v + 1) for v in range(1, max_n)]),
+           make_graph(max_n, top_pairs),
+           make_graph(max_n, [p for p in top_pairs if rng.random() < 0.5])]
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, max_n))
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return make_graph(n, [p for p, k in zip(pairs, keep) if k])
+
+    test = hypothesis.given(graphs())(check)
+    for g in top:
+        test = hypothesis.example(g)(test)
+    settings = hypothesis.settings(max_examples=60, deadline=None, database=None,
+                                   derandomize=True)
+    settings(test)()
+
+
 def test_plus_state():
     for n in (1, 2, 5, 16):
         s = plus_state(n)
