@@ -207,11 +207,11 @@ def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarr
 
 def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
     """Top Schmidt weight of the most entangled cut: no product state's
-    fidelity exceeds it. For a graph it is 2^-(max cut-rank)."""
+    fidelity exceeds it. For a graph it is 2^-(max cut-rank); a
+    statevector must come normalized."""
     if isinstance(state, Graph):
         return 0.5 ** (cut_rank_histogram(state).size - 1)
-    psi = _normalized(state)
-    return min([1.0, *(top_schmidt_weight(psi, c) for c in _cuts(num_qubits(psi)))])
+    return min([1.0, *(top_schmidt_weight(state, c) for c in _cuts(num_qubits(state)))])
 
 
 def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
@@ -254,7 +254,8 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     """
     cfg = cfg or GemConfig()
     n = _qubit_count(state)
-    ceiling = _fidelity_ceiling(state)
+    psi = state if isinstance(state, Graph) else _normalized(state)
+    ceiling = _fidelity_ceiling(psi)
     if isinstance(state, Graph):
         if 0.5 ** (n - independence_number(state)) == ceiling:
             diag = GemDiagnostics(
@@ -264,8 +265,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             )
             return MeasureResult(kind="GEM", value=1.0 - ceiling, method="bound",
                                  diagnostics=diag)
-        state = build_graph_state(state)
-    psi = _normalized(state)
+        psi = build_graph_state(state)  # its norm is exactly 1.0
     r = cfg.restarts
 
     factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])

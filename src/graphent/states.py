@@ -3,6 +3,7 @@
 A state on n qubits is a complex vector of length 2^n. Qubit 1 maps to
 the most significant bit of the basis index, so |q1 q2 ... qn> sits at
 index q1*2^(n-1) + ... + qn. All qubit arguments are 1-indexed.
+One helper serves X_a and the Z's on N(a) for the vertex operators.
 """
 
 from __future__ import annotations
@@ -10,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from graphent.graphs import Graph, check_label, neighbors
-
-# exp(-i pi/4 X): square root of X up to phase
-_SQRT_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-# exp(+i pi/4 Z)
-_SQRT_Z = np.diag([np.exp(0.25j * np.pi), np.exp(-0.25j * np.pi)])
 
 
 def num_qubits(state: np.ndarray) -> int:
@@ -61,20 +57,31 @@ def apply_local_unitary(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndar
     return np.moveaxis(t, 0, qubit - 1).reshape(-1)
 
 
-def lc_unitary_apply(state: np.ndarray, g: Graph, a: int) -> np.ndarray:
-    """Local Clifford that realizes local complementation at vertex a.
-
-    Applies exp(-i pi/4 X) on a and exp(+i pi/4 Z) on each neighbor of a
-    in g. Up to global phase, this maps |G> onto the state of the
-    locally complemented graph.
-    """
+def _vertex_action(state: np.ndarray, g: Graph, a: int):
+    """The checked state as a complex vector, the index map of X_a (it
+    flips qubit a) and how many of a's neighbours each basis index sets;
+    a is not its own neighbour, so an index and its flip share that count."""
     n = num_qubits(state)
     if n != g.n:
         raise ValueError(f"state has {n} qubits but graph has {g.n} vertices")
-    out = apply_local_unitary(state, _SQRT_X, a)
-    for b in sorted(neighbors(g, a)):
-        out = apply_local_unitary(out, _SQRT_Z, b)
-    return out
+    check_label(a, n)
+    zmask = sum(1 << (n - b) for b in neighbors(g, a))
+    idx = np.arange(1 << n)
+    return (np.asarray(state, dtype=complex), idx ^ (1 << (n - a)),
+            np.bitwise_count(idx & zmask))
+
+
+def lc_unitary_apply(state: np.ndarray, g: Graph, a: int) -> np.ndarray:
+    """Local Clifford that realizes local complementation at vertex a:
+    exp(-i pi/4 X) = (1 - iX)/sqrt(2) on a and exp(+i pi/4 Z) on each
+    neighbour, which with k of the deg neighbours set is one phase
+    exp(i pi/4 (deg - 2k)). Up to global phase, this maps |G> onto the
+    state of the locally complemented graph.
+    """
+    s, flipped, count = _vertex_action(state, g, a)
+    deg = g.adj[a - 1].bit_count()
+    phase = np.exp(0.25j * np.pi * (deg - 2 * np.arange(deg + 1))) / np.sqrt(2.0)
+    return (s - 1j * s[flipped]) * phase[count]
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
@@ -87,23 +94,12 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def stabilizer_expectation(state: np.ndarray, g: Graph, a: int) -> float:
-    """<s| X_a prod_{b in N(a)} Z_b |s>, evaluated with bit arithmetic.
+    """<s| X_a prod_{b in N(a)} Z_b |s>; the Z's give the parity of the
+    neighbours set as a sign.
 
     Equals 1 exactly when the state is stabilized by the generator at
     vertex a; graph states satisfy this for every vertex.
     """
-    n = num_qubits(state)
-    if n != g.n:
-        raise ValueError(f"state has {n} qubits but graph has {g.n} vertices")
-    check_label(a, n)
-    s = np.asarray(state, dtype=complex)
-    flip = 1 << (n - a)
-    zmask = 0
-    for b in neighbors(g, a):
-        zmask |= 1 << (n - b)
-    idx = np.arange(s.size)
-    # X_a permutes basis states; a is never in its own neighborhood, so
-    # the Z sign pattern is unchanged by the flip.
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1)
-    val = np.sum(np.conj(s) * signs * s[idx ^ flip])
-    return float(np.real(val))
+    s, flipped, count = _vertex_action(state, g, a)
+    signs = 1.0 - 2.0 * (count & 1)
+    return float(np.real(np.sum(np.conj(s) * signs * s[flipped])))

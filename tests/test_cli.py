@@ -5,17 +5,22 @@ import csv
 import io
 import itertools
 import json
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphent import cli
 from graphent.catalog import CatalogEntry, all_entries, catalog_get, serialize_edge_list
 from graphent.cli import main
 from graphent.graphs import make_graph
+
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -299,8 +304,8 @@ def test_verify_catalog(capsys):
     code, out, _ = run(capsys, "verify-catalog")
     assert code == 0
     assert "catalog OK" in out
-    assert out.count("PASS") == 4
-    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--format", "json")
+    assert out.count("PASS") == 5
+    code, out, _ = run(capsys, "verify-catalog", "--format", "json")
     assert code == 0
     details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
     assert details["connected"] == "45/45"
@@ -309,10 +314,24 @@ def test_verify_catalog(capsys):
 
 
 def test_verify_catalog_has_no_budget(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-catalog", "--lc-pairwise", "--budget", "5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    # The LC-pairwise check always runs, so neither its old flag nor the
+    # budget it once took is an option.
+    for extra in (["--budget", "5"], ["--lc-pairwise"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-catalog", *extra])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    # Every "graphent ..." line of the README's code blocks, its "#"
+    # comment stripped, must parse; a stale flag exits 2 here.
+    blocks = README.read_text().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("graphent ")]
+    assert len(lines) >= 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def complete_entry(gid: int, n: int) -> CatalogEntry:
@@ -328,7 +347,7 @@ def with_k4(monkeypatch):
 
 
 def test_verify_catalog_failing_csv_keeps_three_fields(capsys, with_k4):
-    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise", "--format", "csv")
+    code, out, _ = run(capsys, "verify-catalog", "--format", "csv")
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert [len(row) for row in rows] == [3] * 6
@@ -340,13 +359,13 @@ def test_verify_catalog_lc_pairwise_reports_every_shared_pair(monkeypatch, capsy
     entries = all_entries()
     monkeypatch.setattr(cli, "all_entries",
                         lambda: entries + [complete_entry(46, 4), complete_entry(47, 5)])
-    code, out, _ = run(capsys, "verify-catalog", "--lc-pairwise")
+    code, out, _ = run(capsys, "verify-catalog")
     assert code == 1
     assert "FAIL  lc-pairwise: shared orbits: [(3, 46), (5, 47)]\n" in out
 
 
 def test_verify_catalog_lc_pairwise_reports_shared_orbits(with_k4):
-    args = cli.build_parser().parse_args(["verify-catalog", "--lc-pairwise"])
+    args = cli.build_parser().parse_args(["verify-catalog"])
     code, render = args.func(args)
     assert code == 1
     lines = render("table").splitlines()
@@ -356,6 +375,30 @@ def test_verify_catalog_lc_pairwise_reports_shared_orbits(with_k4):
     payload = render("json")
     assert [c["passed"] for c in payload["checks"]] == [True] * 4 + [False]
     assert payload["checks"][-1]["detail"] == "shared orbits: [(3, 46)]"
+    assert payload["passed"] is False
+
+
+def test_verify_catalog_fails_a_nan_state(monkeypatch, capsys):
+    # One NaN amplitude in id 30's state must fail both statevector
+    # checks, in table and json alike, rather than drop out of the maxima.
+    build, nan_graph = cli.build_graph_state, catalog_get(30).graph
+
+    def with_nan(g):
+        psi = build(g)
+        if g == nan_graph:
+            psi[0] = np.nan
+        return psi
+
+    monkeypatch.setattr(cli, "build_graph_state", with_nan)
+    code, out, _ = run(capsys, "verify-catalog")
+    assert code == 1
+    assert "FAIL  stabilizers: max deviation nan\n" in out
+    assert "FAIL  lc-unitary: max deviation nan\n" in out
+    assert out.endswith("catalog verification FAILED\n")
+    code, out, _ = run(capsys, "verify-catalog", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [c["passed"] for c in payload["checks"]] == [True, True, False, False, True]
     assert payload["passed"] is False
 
 
@@ -395,8 +438,7 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_verify_catalog_failure_still_reports(tmp_path, capsys, with_k4, fmt):
-    code, out = run_both(tmp_path, capsys, "verify-catalog", "--lc-pairwise",
-                         "--format", fmt)
+    code, out = run_both(tmp_path, capsys, "verify-catalog", "--format", fmt)
     assert code == 1
     if fmt == "json":
         payload = json.loads(out)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from graphent.graphs import local_complement, make_graph
+from graphent.graphs import local_complement, make_graph, neighbors
 from graphent.states import (
     apply_local_unitary,
     build_graph_state,
@@ -272,6 +272,48 @@ def test_lc_unitary_matches_graph_move():
         direct = build_graph_state(local_complement(g, a))
         moved = lc_unitary_apply(build_graph_state(g), g, a)
         assert abs(abs(inner_product(direct, moved)) - 1.0) < 1e-12
+
+
+# exp(-i pi/4 X) and exp(+i pi/4 Z), the one-qubit factors of the LC
+# local Clifford, for the oracles of lc_unitary_apply.
+_EXP_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / np.sqrt(2.0)
+_EXP_Z = np.diag([np.exp(0.25j * np.pi), np.exp(-0.25j * np.pi)])
+
+
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return raw / np.linalg.norm(raw)
+
+
+def test_lc_unitary_matches_dense_kron_with_phase():
+    # exp(-i pi/4 X_a) (x) prod_{b in N(a)} exp(+i pi/4 Z_b) as one dense
+    # matrix, on random complex states, global phase included.
+    rng, nrng = random.Random(43), np.random.default_rng(43)
+    for n in range(1, 8):
+        g = random_graph(rng, n)
+        psi = random_state(nrng, n)
+        for a in range(1, n + 1):
+            full = np.array([[1.0 + 0j]])
+            for q in range(1, n + 1):
+                op = _EXP_X if q == a else _EXP_Z if q in neighbors(g, a) else np.eye(2)
+                full = np.kron(full, op)
+            np.testing.assert_allclose(lc_unitary_apply(psi, g, a), full @ psi,
+                                       rtol=0, atol=1e-12)
+
+
+def test_lc_unitary_matches_per_qubit_composition():
+    # The same operator as one apply_local_unitary per qubit it acts on,
+    # at sizes too large for a dense matrix.
+    rng, nrng = random.Random(47), np.random.default_rng(47)
+    for n in range(10, 17):
+        g = random_graph(rng, n)
+        psi = random_state(nrng, n)
+        for a in range(1, n + 1):
+            want = apply_local_unitary(psi, _EXP_X, a)
+            for b in sorted(neighbors(g, a)):
+                want = apply_local_unitary(want, _EXP_Z, b)
+            np.testing.assert_allclose(lc_unitary_apply(psi, g, a), want,
+                                       rtol=0, atol=1e-12)
 
 
 def test_inner_product_conjugates_first_argument():
