@@ -7,6 +7,7 @@ catalog (--graph N), inline edges (--edges "1 2,1 3"), or an edge-list
 file (--file PATH); a missing or doubled source is a usage error
 (exit 2). verify-catalog runs its five checks on every call, among
 them equiv's test, are_lc_equivalent, on every pair of catalog graphs.
+--restarts and --seed (gem, classify, rp-table) are the only tuning flags.
 
 Amplitude dumps order basis states with qubit 1 as the most
 significant bit: |q1 q2 ... qn> sits at index q1*2^(n-1) + ... + qn.
@@ -53,7 +54,6 @@ from graphent.classify import (
     rp_table_to_dict,
 )
 from graphent.graphs import (
-    LC_BUDGET,
     Graph,
     OrbitBudgetExceeded,
     are_lc_equivalent,
@@ -140,7 +140,7 @@ def cmd_lc(args) -> Result:
 
 
 def cmd_orbit(args) -> Result:
-    orbit = lc_orbit(_load_graph(args), max_size=args.budget)
+    orbit = lc_orbit(_load_graph(args))
     reps = orbit.sorted_representatives()
 
     def render(fmt):
@@ -156,7 +156,7 @@ def cmd_orbit(args) -> Result:
 def cmd_equiv(args) -> Result:
     g1 = _load_graph(args)
     g2 = _load_graph(args, suffix="2")
-    verdict = are_lc_equivalent(g1, g2, max_size=args.budget)
+    verdict = are_lc_equivalent(g1, g2)
     return 0, lambda fmt: ({"equivalent": verdict} if fmt == "json"
                            else ("equivalent" if verdict else "inequivalent") + "\n")
 
@@ -289,18 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="closure under local complementation")
     _add_source_flags(p)
-    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
-                   help=f"orbit size budget (default {LC_BUDGET})")
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("equiv", help="are two graphs linked by LC moves?")
     _add_source_flags(p)
     _add_source_flags(p, suffix="2")
-    p.add_argument("--budget", type=int, default=LC_BUDGET, metavar="B",
-                   help="orbit size budget for the first graph; the search stops "
-                        "at the second, so it binds only if that is not reached "
-                        f"first (default {LC_BUDGET})")
     _add_output_flags(p, formats=("table", "json"))
     p.set_defaults(func=cmd_equiv)
 

@@ -1,5 +1,6 @@
 """CLI tests driven through main() plus one end-to-end subprocess check."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphent import cli
+from graphent import cli, graphs
 from graphent.catalog import CatalogEntry, all_entries, catalog_get, serialize_edge_list
 from graphent.cli import main
 from graphent.graphs import make_graph
@@ -152,8 +153,9 @@ def test_orbit_star4(capsys):
     assert payload["size"] == 2
 
 
-def test_orbit_budget_error(capsys):
-    code, _, err = run(capsys, "orbit", "--graph", "30", "--budget", "2")
+def test_orbit_budget_error(capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
+    code, _, err = run(capsys, "orbit", "--graph", "30")
     assert code == 1
     assert "budget" in err
 
@@ -170,27 +172,28 @@ def test_equiv_equivalent_relabeled(capsys):
     assert out == "equivalent\n"
 
 
-def test_equiv_stops_at_target_within_budget(capsys):
+def test_equiv_stops_at_target_within_budget(capsys, monkeypatch):
     # Graph 30 complemented at vertex 3 is reached before the budget binds.
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
     code, out, _ = run(capsys, "equiv", "--graph", "30", "--edges2",
-                       "1 2,2 3,2 4,3 4,4 5,5 6,6 7", "--budget", "2")
+                       "1 2,2 3,2 4,3 4,4 5,5 6,6 7")
     assert code == 0
     assert out == "equivalent\n"
 
 
-def test_equiv_budget_error(capsys):
+def test_equiv_budget_error(capsys, monkeypatch):
     # 30 and 36 have equal cut-rank histograms, so only the search can
     # tell them apart, and the budget binds first.
-    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "36",
-                       "--budget", "2")
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
+    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "36")
     assert code == 1
     assert "budget" in err
 
 
-def test_equiv_cut_rank_reject_needs_no_budget(capsys):
+def test_equiv_cut_rank_reject_needs_no_budget(capsys, monkeypatch):
     # 30 and 29 differ in cut-rank histogram, an LC invariant.
-    code, out, _ = run(capsys, "equiv", "--graph", "30", "--graph2", "29",
-                       "--budget", "2")
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
+    code, out, _ = run(capsys, "equiv", "--graph", "30", "--graph2", "29")
     assert code == 0
     assert out == "inequivalent\n"
 
@@ -198,7 +201,7 @@ def test_equiv_cut_rank_reject_needs_no_budget(capsys):
 def test_orbit_c10_within_budget(capsys):
     edges = ",".join(f"{v} {v % 10 + 1}" for v in range(1, 11))
     start = time.perf_counter()
-    code, out, _ = run(capsys, "orbit", "--edges", edges, "--budget", "1206")
+    code, out, _ = run(capsys, "orbit", "--edges", edges)
     assert code == 0
     assert out.splitlines()[0] == "orbit size: 1206"
     assert time.perf_counter() - start < 10.0
@@ -315,12 +318,43 @@ def test_verify_catalog(capsys):
 
 def test_verify_catalog_has_no_budget(capsys):
     # The LC-pairwise check always runs, so neither its old flag nor the
-    # budget it once took is an option.
-    for extra in (["--budget", "5"], ["--lc-pairwise"]):
+    # budget it once took is an option. Every LC search stops at the
+    # fixed graphs.LC_BUDGET, so orbit and equiv take no budget either.
+    for argv, extra in [
+        (["verify-catalog"], ["--budget", "5"]),
+        (["verify-catalog"], ["--lc-pairwise"]),
+        (["orbit", "--graph", "30"], ["--budget", "5"]),
+        (["equiv", "--graph", "30", "--graph2", "36"], ["--budget", "5"]),
+    ]:
         with pytest.raises(SystemExit) as exc:
-            main(["verify-catalog", *extra])
+            main([*argv, *extra])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_cli_option_inventory():
+    # Every option of every subcommand, so that adding or dropping a knob
+    # shows up as a change to this dict.
+    want = {
+        "state": ["--graph", "--edges", "--file", "--format", "--out"],
+        "gcm": ["--graph", "--edges", "--file", "--format", "--out"],
+        "gem": ["--graph", "--edges", "--file", "--restarts", "--seed",
+                "--format", "--out"],
+        "lc": ["--graph", "--edges", "--file", "--vertex", "--format", "--out"],
+        "orbit": ["--graph", "--edges", "--file", "--format", "--out"],
+        "equiv": ["--graph", "--edges", "--file", "--graph2", "--edges2",
+                  "--file2", "--format", "--out"],
+        "classify": ["--measure", "--restarts", "--seed", "--format", "--out"],
+        "rp-table": ["--restarts", "--seed", "--format", "--out"],
+        "verify-catalog": ["--format", "--out"],
+    }
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {name: [opt for action in sub._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")]
+           for name, sub in subparsers.choices.items()}
+    assert got == want
 
 
 def test_readme_examples_parse():
