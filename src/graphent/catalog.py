@@ -109,10 +109,20 @@ def all_entries() -> list[CatalogEntry]:
     return list(_ENTRIES.values())
 
 
+def _digits(token: str) -> int:
+    """The int a token of ASCII digits spells. Raises ValueError for any
+    other token, such as -1, +2, 1_0 or full-width digits, which int()
+    would accept, and for one too long for int() to read."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Graph from the plain-text edge format.
 
-    One edge per line as two whitespace-separated 1-indexed integers.
+    One edge per line as two whitespace-separated 1-indexed integers,
+    each written in plain ASCII digits.
     Lines starting with `#` are comments; blank lines are skipped. An
     optional `n <count>` header fixes the vertex count, else the largest
     index seen (at most MAX_VERTICES). Errors carry the line number.
@@ -130,7 +140,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'n <count>', got {raw!r}")
             try:
-                n_header = int(parts[1])
+                n_header = _digits(parts[1])
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: vertex count {parts[1]!r} is not an integer"
@@ -145,7 +155,7 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: expected two vertex indices, got {raw!r}"
             )
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _digits(parts[0]), _digits(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from None
         if i < 1 or j < 1:

@@ -119,17 +119,13 @@ def measure_values(kind: str, cfg: GemConfig | None = None) -> list[tuple[int, f
     return [(e.id, measure(e.graph).value) for e in all_entries()]
 
 
-def build_report(kind: str, cfg: GemConfig | None = None,
-                 values: list[tuple[int, float]] | None = None) -> ClassificationReport:
-    """Full classification: cumulative classes plus per-n regrouping,
-    both grouped at DEFAULT_GROUPING_TOL.
-
-    Precomputed (id, value) pairs, one per catalog id, can be passed to
-    avoid re-measuring. A row's eta_kappa is its number of catalog entries.
+def build_report(kind: str, values: list[tuple[int, float]]) -> ClassificationReport:
+    """Full classification of (id, value) pairs, one per catalog id, such
+    as measure_values gives: cumulative classes plus per-n regrouping,
+    both grouped at DEFAULT_GROUPING_TOL. A row's eta_kappa is its number
+    of catalog entries.
     """
     kind = _measure_kind(kind)
-    if values is None:
-        values = measure_values(kind, cfg)
     entries = all_entries()
     by_id = dict(values)
     if len(by_id) != len(values) or set(by_id) != {e.id for e in entries}:
@@ -196,7 +192,8 @@ def report_csv_rows(report: ClassificationReport) -> list[list]:
 
 def build_rp_table(cfg: GemConfig | None = None) -> RpTable:
     """The GCM and the GEM report, shown side by side as the rp-table."""
-    return build_report("GCM", cfg), build_report("GEM", cfg)
+    return (build_report("GCM", measure_values("GCM")),
+            build_report("GEM", measure_values("GEM", cfg)))
 
 
 def rp_table_to_dict(table: RpTable) -> dict:

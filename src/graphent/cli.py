@@ -7,7 +7,8 @@ catalog (--graph N), inline edges (--edges "1 2,1 3"), or an edge-list
 file (--file PATH); a missing or doubled source is a usage error
 (exit 2). verify-catalog runs its five checks on every call, among
 them equiv's test, are_lc_equivalent, on every pair of catalog graphs.
---restarts and --seed (gem, classify, rp-table) are the only tuning flags.
+--seed (gem, classify, rp-table) is the only tuning flag: the see-saw
+always runs GemConfig's default restart count.
 
 Amplitude dumps order basis states with qubit 1 as the most
 significant bit: |q1 q2 ... qn> sits at index q1*2^(n-1) + ... + qn.
@@ -46,6 +47,7 @@ from graphent.catalog import (
 from graphent.classify import (
     build_report,
     build_rp_table,
+    measure_values,
     render_report_text,
     render_rp_table_text,
     report_csv_rows,
@@ -93,10 +95,6 @@ def _graph_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
 
 
-def _gem_config(args) -> GemConfig:
-    return GemConfig(args.restarts, args.seed)
-
-
 def cmd_state(args) -> Result:
     g = _load_graph(args)
     psi = build_graph_state(g)
@@ -119,7 +117,7 @@ def cmd_state(args) -> Result:
 
 def cmd_measure(args, kind: str) -> Result:
     g = _load_graph(args)
-    result = gcm(g) if kind == "GCM" else gem(g, _gem_config(args))
+    result = gcm(g) if kind == "GCM" else gem(g, GemConfig(seed=args.seed))
 
     def render(fmt):
         if fmt != "json":
@@ -162,14 +160,15 @@ def cmd_equiv(args) -> Result:
 
 
 def cmd_classify(args) -> Result:
-    report = build_report(args.measure, _gem_config(args))
+    report = build_report(args.measure,
+                          measure_values(args.measure, GemConfig(seed=args.seed)))
     renderers = {"json": report_to_dict, "csv": report_csv_rows,
                  "table": render_report_text}
     return 0, lambda fmt: renderers[fmt](report)
 
 
 def cmd_rp_table(args) -> Result:
-    table = build_rp_table(_gem_config(args))
+    table = build_rp_table(GemConfig(seed=args.seed))
     renderers = {"json": rp_table_to_dict, "csv": rp_table_csv_rows,
                  "table": render_rp_table_text}
     return 0, lambda fmt: renderers[fmt](table)
@@ -249,8 +248,6 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("table", "json", "csv
 
 
 def _add_gem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=GemConfig.restarts, metavar="R",
-                   help=f"random restarts (default {GemConfig.restarts})")
     p.add_argument("--seed", type=int, default=GemConfig.seed, metavar="S",
                    help=f"restart stream seed (default {GemConfig.seed})")
 

@@ -84,8 +84,8 @@ class LcOrbit:
 
 def is_int(a) -> bool:
     """True if a is an int but not a bool, the one type a vertex, a
-    vertex count, a catalog id, a GemConfig field or a grid density may
-    have: True would otherwise pass as 1."""
+    vertex count, a catalog id or a GemConfig field may have: True
+    would otherwise pass as 1."""
     return isinstance(a, int) and not isinstance(a, bool)
 
 
@@ -308,15 +308,14 @@ def canonical_form(g: Graph) -> Graph:
     return _canonical_with_perm(g)[0]
 
 
-def _lc_search(g: Graph, max_size: int,
-               target: Graph | None = None) -> tuple[set[Graph], int]:
+def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
     """Breadth-first closure of g under local complementation, modulo
     isomorphism: the canonical forms reached, and how many were computed.
 
     Stops as soon as the canonical form ``target`` is reached, so the
     set holds target exactly when it lies in g's orbit. Raises
-    OrbitBudgetExceeded if the set would grow past max_size before that;
-    max_size is LC_BUDGET except in the tests against the unpruned search.
+    OrbitBudgetExceeded if the set would grow past LC_BUDGET before that.
+    LC_BUDGET is read at each call, so a test may patch the module's value.
     Moves known to give a form already found are skipped, so forms are
     found in the same order as without them: LC at a vertex of degree 0
     or 1 (the identity), LC back to a parent (LC is an involution), and
@@ -340,9 +339,9 @@ def _lc_search(g: Graph, max_size: int,
                 if nxt in backs:
                     backs[nxt] |= 1 << (perm[a] - 1)
                 continue
-            if nxt != target and len(reps) >= max_size:
+            if nxt != target and len(reps) >= LC_BUDGET:
                 raise OrbitBudgetExceeded(
-                    f"orbit exceeds budget of {max_size} representatives"
+                    f"orbit exceeds budget of {LC_BUDGET} representatives"
                 )
             reps.add(nxt)
             if nxt == target:
@@ -358,7 +357,7 @@ def lc_orbit(g: Graph) -> LcOrbit:
     Raises OrbitBudgetExceeded if the closure would grow past LC_BUDGET
     representatives.
     """
-    reps, searches = _lc_search(g, LC_BUDGET)
+    reps, searches = _lc_search(g)
     return LcOrbit(frozenset(reps), searches)
 
 
@@ -376,4 +375,4 @@ def are_lc_equivalent(g1: Graph, g2: Graph) -> bool:
     if cut_rank_histogram(g1).tolist() != cut_rank_histogram(g2).tolist():
         return False
     target = canonical_form(g2)
-    return target in _lc_search(g1, LC_BUDGET, target)[0]
+    return target in _lc_search(g1, target)[0]

@@ -55,6 +55,7 @@ _DEGENERATE_NORM = 1e-15
 _MAX_REDRAWS = 8
 _MAX_SWEEPS = 500
 _TOLERANCE = 1e-12
+_GRID_DENSITY = 24
 
 
 class DegenerateContractionError(RuntimeError):
@@ -66,7 +67,8 @@ class DegenerateContractionError(RuntimeError):
 class GemConfig:
     """Restart count and restart stream seed of the geometric measure's
     see-saw; its tolerance and sweep cap are fixed (_TOLERANCE,
-    _MAX_SWEEPS)."""
+    _MAX_SWEEPS). The CLI sets only the seed, so it always runs the
+    default 64 restarts; another count is set here, through the API."""
 
     restarts: int = 64
     seed: int = 0
@@ -329,17 +331,6 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     return 1.0 - min(top_schmidt_weight(_normalized(state), cut), 1.0)
 
 
-def _bloch_grid(density: int) -> np.ndarray:
-    """Single-qubit pure states on a (polar, azimuth) grid, poles included."""
-    theta = np.linspace(0.0, np.pi, density)
-    phi = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    states = np.stack(
-        [np.cos(th / 2) + 0j, np.sin(th / 2) * np.exp(1j * ph)], axis=-1
-    )
-    return states.reshape(-1, 2)
-
-
 def _grid_refine(s: np.ndarray, angles: np.ndarray,
                  spacing: tuple[float, float]) -> float:
     """Coordinate-wise local grid descent on the (theta, phi) parameters.
@@ -384,25 +375,25 @@ def _angles_fidelity(s: np.ndarray, angles: np.ndarray) -> float:
     return float(abs(np.vdot(v, s)) ** 2)
 
 
-def brute_force_gem(state: np.ndarray, grid_density: int = 24) -> float:
+def brute_force_gem(state: np.ndarray) -> float:
     """Dense-grid maximization of product fidelity; small systems only.
 
-    Scans every combination of per-qubit grid states, then polishes the
-    best grid point with local window searches. Converges to the
-    geometric measure from above as the grid refines. Deterministic.
+    Scans every combination of per-qubit states on a fixed grid,
+    _GRID_DENSITY (24) polar angles, poles included, by as many
+    azimuths, then polishes the best grid point with local window
+    searches. An upper bound on the geometric measure. Deterministic.
     """
     n = num_qubits(state)
     if n > 3:
         raise ValueError(f"grid search supports at most 3 qubits, got {n}")
-    if not is_int(grid_density):
-        raise ValueError(f"grid_density must be an int, got {grid_density!r}")
-    if grid_density < 2:
-        raise ValueError(f"grid_density must be >= 2, got {grid_density}")
     s = _normalized(state)
-    grid = _bloch_grid(grid_density)
+    theta = np.linspace(0.0, np.pi, _GRID_DENSITY)
+    phi = np.linspace(0.0, 2.0 * np.pi, _GRID_DENSITY, endpoint=False)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    grid = np.stack(
+        [np.cos(th / 2) + 0j, np.sin(th / 2) * np.exp(1j * ph)], axis=-1
+    ).reshape(-1, 2)
     g = grid.shape[0]
-    theta = np.linspace(0.0, np.pi, grid_density)
-    phi = np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
 
     def grid_angles(flat_index: int) -> tuple[float, float]:
         return theta[flat_index // len(phi)], phi[flat_index % len(phi)]
@@ -431,6 +422,6 @@ def brute_force_gem(state: np.ndarray, grid_density: int = 24) -> float:
                 best_idx = (ia, int(ib), int(ic))
         angles = np.array([grid_angles(i) for i in best_idx])
 
-    spacing = (np.pi / (grid_density - 1), 2.0 * np.pi / grid_density)
+    spacing = (np.pi / (_GRID_DENSITY - 1), 2.0 * np.pi / _GRID_DENSITY)
     best = max(best, _grid_refine(s, angles, spacing))
     return 1.0 - min(best, 1.0)

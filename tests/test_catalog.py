@@ -109,6 +109,14 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("0 2\n")
     with pytest.raises(ValueError):
         parse_edge_list("# nothing\n")
+    # int() reads all of these, but a token must be plain ASCII digits;
+    # a 5000-digit one is past what int() reads.
+    for edge in ("1 1_0", "\uff11 \uff12", "-1 2", "1 +2", "1 \u00b2", "1 " + "9" * 5000):
+        with pytest.raises(ValueError, match="line 2: non-integer vertex"):
+            parse_edge_list("# c\n" + edge + "\n")
+    for count in ("1_6", "\uff13", "+3", "9" * 5000):
+        with pytest.raises(ValueError, match="line 1: vertex count .* is not an integer"):
+            parse_edge_list(f"n {count}\n1 2\n")
 
 
 def test_serialize_round_trips():

@@ -83,15 +83,13 @@ def test_gcm_command(capsys):
 
 
 def test_gem_command(capsys):
-    code, out, _ = run(capsys, "gem", "--graph", "2", "--restarts", "32",
-                       "--seed", "1")
+    code, out, _ = run(capsys, "gem", "--graph", "2", "--seed", "1")
     assert code == 0
     assert out == "GEM = 0.50000\n"
 
 
 def test_gem_json_diagnostics(capsys):
-    code, out, _ = run(capsys, "gem", "--graph", "8", "--restarts", "8",
-                       "--format", "json")
+    code, out, _ = run(capsys, "gem", "--graph", "8", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["measure"] == "GEM"
@@ -99,7 +97,7 @@ def test_gem_json_diagnostics(capsys):
         "restarts_used", "best_restart_index", "iterations", "converged",
         "best_fidelity", "degenerate_redraws", "restarts_at_best",
     ]
-    assert payload["diagnostics"]["restarts_used"] == 8
+    assert payload["diagnostics"]["restarts_used"] == 64
 
 
 @pytest.mark.parametrize("command", [["gem", "--graph", "1"],
@@ -239,13 +237,10 @@ def test_gem_cycle_at_max_vertices_from_bounds(capsys):
 
 def test_consecutive_calls_do_not_share_flags(capsys):
     # The parser is built once per process; each call parses afresh.
-    seeded = run(capsys, "gem", "--graph", "40", "--restarts", "8", "--seed", "3",
-                 "--format", "json")
+    seeded = run(capsys, "gem", "--graph", "40", "--seed", "3", "--format", "json")
     assert run(capsys, "gcm", "--graph", "2") == (0, "GCM = 1.22474\n", "")
-    default = run(capsys, "gem", "--graph", "40", "--restarts", "8",
-                  "--format", "json")
-    explicit = run(capsys, "gem", "--graph", "40", "--restarts", "8", "--seed", "0",
-                   "--format", "json")
+    default = run(capsys, "gem", "--graph", "40", "--format", "json")
+    explicit = run(capsys, "gem", "--graph", "40", "--seed", "0", "--format", "json")
     assert default == explicit != seeded
 
 
@@ -289,14 +284,14 @@ def test_classify_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (a, b):
         code = main(["classify", "--measure", "gem", "--seed", "7",
-                     "--restarts", "16", "--format", "json", "--out", str(dest)])
+                     "--format", "json", "--out", str(dest)])
         assert code == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_rp_table_csv(capsys):
-    code, out, _ = run(capsys, "rp-table", "--restarts", "24", "--format", "csv")
+    code, out, _ = run(capsys, "rp-table", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,eta_gcm,eta_gem,eta_kappa,rp_gcm,rp_gem"
@@ -316,15 +311,19 @@ def test_verify_catalog(capsys):
     assert details["lc-pairwise"] == "990/990 pairs disjoint"
 
 
-def test_verify_catalog_has_no_budget(capsys):
+def test_removed_flags_exit_2(capsys):
     # The LC-pairwise check always runs, so neither its old flag nor the
     # budget it once took is an option. Every LC search stops at the
-    # fixed graphs.LC_BUDGET, so orbit and equiv take no budget either.
+    # fixed graphs.LC_BUDGET, so orbit and equiv take no budget either,
+    # and the see-saw always runs GemConfig's default restart count.
     for argv, extra in [
         (["verify-catalog"], ["--budget", "5"]),
         (["verify-catalog"], ["--lc-pairwise"]),
         (["orbit", "--graph", "30"], ["--budget", "5"]),
         (["equiv", "--graph", "30", "--graph2", "36"], ["--budget", "5"]),
+        (["gem", "--graph", "40"], ["--restarts", "5"]),
+        (["classify", "--measure", "gem"], ["--restarts", "5"]),
+        (["rp-table"], ["--restarts", "5"]),
     ]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, *extra])
@@ -338,14 +337,13 @@ def test_cli_option_inventory():
     want = {
         "state": ["--graph", "--edges", "--file", "--format", "--out"],
         "gcm": ["--graph", "--edges", "--file", "--format", "--out"],
-        "gem": ["--graph", "--edges", "--file", "--restarts", "--seed",
-                "--format", "--out"],
+        "gem": ["--graph", "--edges", "--file", "--seed", "--format", "--out"],
         "lc": ["--graph", "--edges", "--file", "--vertex", "--format", "--out"],
         "orbit": ["--graph", "--edges", "--file", "--format", "--out"],
         "equiv": ["--graph", "--edges", "--file", "--graph2", "--edges2",
                   "--file2", "--format", "--out"],
-        "classify": ["--measure", "--restarts", "--seed", "--format", "--out"],
-        "rp-table": ["--restarts", "--seed", "--format", "--out"],
+        "classify": ["--measure", "--seed", "--format", "--out"],
+        "rp-table": ["--seed", "--format", "--out"],
         "verify-catalog": ["--format", "--out"],
     }
     parser = cli.build_parser()
@@ -450,12 +448,12 @@ def run_both(tmp_path, capsys, *argv):
 _FORMATS = [
     (("state", "--graph", "8"), ("table", "json")),
     (("gcm", "--graph", "8"), ("table", "json")),
-    (("gem", "--graph", "40", "--restarts", "8"), ("table", "json")),
+    (("gem", "--graph", "40"), ("table", "json")),
     (("lc", "--graph", "8", "--vertex", "2"), ("table", "json")),
     (("orbit", "--graph", "8"), ("table", "json")),
     (("equiv", "--graph", "8", "--graph2", "9"), ("table", "json")),
     (("classify", "--measure", "gcm"), ("table", "json", "csv")),
-    (("rp-table", "--restarts", "8"), ("table", "json", "csv")),
+    (("rp-table",), ("table", "json", "csv")),
 ]
 
 

@@ -1,6 +1,7 @@
 """Graph construction, isomorphism, and LC-orbit tests."""
 
 import functools
+import inspect
 import itertools
 import random
 import time
@@ -424,6 +425,13 @@ def test_orbit_star4_contains_complete():
     assert orb.size == 2
 
 
+def pruned_lc_search(g, max_size, target=None):
+    """graphs._lc_search with graphs.LC_BUDGET set to max_size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "LC_BUDGET", max_size)
+        return graphs._lc_search(g, target)[0]
+
+
 def assert_same_search(g, max_size, target=None):
     """The pruned and the unpruned search end alike: with the same forms,
     or both with OrbitBudgetExceeded."""
@@ -431,9 +439,9 @@ def assert_same_search(g, max_size, target=None):
         want = unpruned_lc_search(g, max_size, target)
     except OrbitBudgetExceeded:
         with pytest.raises(OrbitBudgetExceeded):
-            graphs._lc_search(g, max_size, target)
+            pruned_lc_search(g, max_size, target)
         return
-    assert graphs._lc_search(g, max_size, target)[0] == want
+    assert pruned_lc_search(g, max_size, target) == want
 
 
 def cycle(n):
@@ -479,7 +487,7 @@ def test_orbit_budget_fires_where_unpruned_search_does(gid):
     g = catalog_get(gid).graph
     size = lc_orbit(g).size
     assert len(unpruned_lc_search(g, size)) == size
-    for search in (graphs._lc_search, unpruned_lc_search):
+    for search in (pruned_lc_search, unpruned_lc_search):
         with pytest.raises(OrbitBudgetExceeded):
             search(g, size - 1)
     # With a target, whether the budget fires first depends on the order
@@ -519,11 +527,13 @@ def test_catalog_orbits_count_their_canonical_searches():
     assert orbits[0] == LcOrbit(orbits[0].representatives)
 
 
-def test_orbit_budget_exceeded():
+def test_orbit_budget_exceeded(monkeypatch):
     g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
     with pytest.raises(OrbitBudgetExceeded, match="budget of 2 representatives"):
-        graphs._lc_search(g, 2)
-    # Both searches stop at the fixed LC_BUDGET; neither takes a budget.
+        graphs._lc_search(g)
+    # Every search stops at the fixed LC_BUDGET; none takes a budget.
+    assert list(inspect.signature(graphs._lc_search).parameters) == ["g", "target"]
     with pytest.raises(TypeError):
         lc_orbit(g, max_size=2)
     with pytest.raises(TypeError):

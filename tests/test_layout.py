@@ -3,10 +3,13 @@
 Every imported name is used (the package __init__ re-exports, so it is
 exempt, and its __all__ lists exactly what it imports, sorted),
 graphent modules import each other at module level only and only by
-public names, and those imports form no cycle.
+public names, and those imports form no cycle. The parameters of the
+public API are pinned in one inventory.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import graphent
@@ -99,3 +102,62 @@ def test_every_exported_name_has_its_own_docstring():
 
     missing = [name for name in graphent.__all__ if not docstring(name)]
     assert not missing, f"exported names without a docstring: {missing}"
+
+
+# The parameter names of every exported function and the fields of every
+# exported dataclass, so that adding or dropping an API knob shows up as
+# a change to this dict. The two exception classes take no parameters.
+PUBLIC_SIGNATURES = {
+    "CatalogEntry": ["id", "graph", "expected_gcm", "expected_gem"],
+    "ClassificationReport": ["measure_kind", "classes", "per_n", "cumulative"],
+    "GemConfig": ["restarts", "seed"],
+    "GemDiagnostics": ["restarts_used", "best_restart_index", "iterations", "converged",
+                       "best_fidelity", "degenerate_redraws", "restarts_at_best",
+                       "restart_sweeps", "ceiling"],
+    "Graph": ["adj"],
+    "LcOrbit": ["representatives", "searches"],
+    "MeasureClass": ["class_index", "value", "members"],
+    "MeasureResult": ["kind", "value", "method", "diagnostics"],
+    "RpEntry": ["n", "eta_measure", "eta_kappa", "rp"],
+    "all_entries": [],
+    "apply_local_unitary": ["state", "u", "qubit"],
+    "are_lc_equivalent": ["g1", "g2"],
+    "brute_force_gem": ["state"],
+    "build_graph_state": ["g"],
+    "build_report": ["kind", "values"],
+    "build_rp_table": ["cfg"],
+    "canonical_form": ["g"],
+    "catalog_get": ["graph_id"],
+    "catalog_size": [],
+    "export_corpus": ["dest_dir"],
+    "gcm": ["state"],
+    "gem": ["state", "cfg"],
+    "gem_bipartite_oracle": ["state", "cut"],
+    "group_by_value": ["values", "tol"],
+    "inner_product": ["a", "b"],
+    "is_connected": ["g"],
+    "lc_orbit": ["g"],
+    "lc_unitary_apply": ["state", "g", "a"],
+    "local_complement": ["g", "a"],
+    "make_graph": ["n", "edges"],
+    "measure_values": ["kind", "cfg"],
+    "neighbors": ["g", "a"],
+    "parse_edge_list": ["text"],
+    "relabel": ["g", "perm"],
+    "resolution_power": ["eta_measure", "eta_kappa"],
+    "rp_fraction": ["eta_measure", "eta_kappa"],
+    "serialize_edge_list": ["g"],
+    "stabilizer_expectation": ["state", "g", "a"],
+    "subset_purity": ["state", "keep"],
+}
+
+
+def test_public_signature_inventory():
+    got = {}
+    for name in graphent.__all__:
+        obj = getattr(graphent, name)
+        if dataclasses.is_dataclass(obj):
+            got[name] = [f.name for f in dataclasses.fields(obj)]
+        elif not (isinstance(obj, type) and issubclass(obj, Exception)):
+            got[name] = list(inspect.signature(obj).parameters)
+    assert got == PUBLIC_SIGNATURES

@@ -174,7 +174,7 @@ def test_single_qubit_measures_are_zero():
 def test_statevector_entry_points_reject_degenerate_amplitudes():
     path = build_graph_state(make_graph(3, [(1, 2), (2, 3)]))
     entry_points = [gcm, gem, lambda s: gem_bipartite_oracle(s, (1,)),
-                    lambda s: brute_force_gem(s, grid_density=6),
+                    brute_force_gem,
                     lambda s: subset_purity(s, (1,)),
                     lambda s: top_schmidt_weight(s, (1,))]
     nan, inf = path.copy(), path.copy()
@@ -613,28 +613,25 @@ def test_bipartite_oracle_lower_bounds_gem():
 
 def test_brute_force_gem_matches_on_small_graphs():
     psi2 = build_graph_state(make_graph(2, [(1, 2)]))
-    assert brute_force_gem(psi2, grid_density=24) == pytest.approx(0.5, abs=2e-3)
+    assert brute_force_gem(psi2) == pytest.approx(0.5, abs=2e-3)
     psi3 = build_graph_state(make_graph(3, [(1, 2), (1, 3)]))
-    got = brute_force_gem(psi3, grid_density=24)
+    got = brute_force_gem(psi3)
     assert got == pytest.approx(0.5, abs=5e-3)
     # grid optimum can only sit at or above the true measure
     assert got >= 0.5 - 1e-9
 
 
 def test_brute_force_gem_pole_aligned_product_state():
-    assert brute_force_gem(ket("01"), grid_density=6) == pytest.approx(0.0, abs=1e-15)
-    assert brute_force_gem(ket("1"), grid_density=6) == pytest.approx(0.0, abs=1e-15)
+    assert brute_force_gem(ket("01")) == pytest.approx(0.0, abs=1e-15)
+    assert brute_force_gem(ket("1")) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_brute_force_gem_rejects_large_systems():
     with pytest.raises(ValueError):
         brute_force_gem(ghz(4))
-    with pytest.raises(ValueError, match="grid_density"):
-        brute_force_gem(ghz(2), grid_density=1)
-    for density in (2.5, 24.0, True):
-        with pytest.raises(ValueError,
-                           match=f"grid_density must be an int, got {density!r}"):
-            brute_force_gem(ghz(2), grid_density=density)
+    # The grid is fixed at 24 points per angle; it takes no density.
+    with pytest.raises(TypeError, match="grid_density"):
+        brute_force_gem(ghz(2), grid_density=24)
 
 
 def test_gem_value_bounds_random_states():
