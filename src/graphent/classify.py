@@ -13,6 +13,7 @@ entries themselves, which hold one representative per canonical class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -61,7 +62,8 @@ def group_by_value(values, tol: float = DEFAULT_GROUPING_TOL) -> list[MeasureCla
 
     After sorting by value, a gap larger than tol starts a new class.
     Class order is ascending in value; the stored value is the member
-    mean rounded to 5 decimals. Input order never matters.
+    mean rounded to 5 decimals. Input order never matters. A NaN or
+    infinite value raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -69,6 +71,8 @@ def group_by_value(values, tol: float = DEFAULT_GROUPING_TOL) -> list[MeasureCla
     classes: list[MeasureClass] = []
     run: list[tuple[int, float]] = []
     for gid, val in pairs:
+        if not math.isfinite(val):
+            raise ValueError(f"value of id {gid} is not finite: {val!r}")
         if run and val - run[-1][1] > tol:
             classes.append(_finish_class(len(classes) + 1, run))
             run = []
@@ -84,16 +88,20 @@ def _finish_class(index: int, run) -> MeasureClass:
     return MeasureClass(class_index=index, value=round(mean, 5), members=members)
 
 
-def resolution_power(eta_measure: int, eta_kappa: int) -> float:
-    """Percentage of canonical classes the measure distinguishes."""
+def _checked_kappa(eta_kappa: int) -> int:
     if eta_kappa < 1:
         raise ValueError(f"eta_kappa must be >= 1, got {eta_kappa}")
-    return 100.0 * eta_measure / eta_kappa
+    return eta_kappa
+
+
+def resolution_power(eta_measure: int, eta_kappa: int) -> float:
+    """Percentage of canonical classes the measure distinguishes."""
+    return 100.0 * eta_measure / _checked_kappa(eta_kappa)
 
 
 def rp_fraction(eta_measure: int, eta_kappa: int) -> str:
     """Exact ratio as a reduced fraction string, e.g. '3/5'."""
-    f = Fraction(eta_measure, eta_kappa)
+    f = Fraction(eta_measure, _checked_kappa(eta_kappa))
     return f"{f.numerator}/{f.denominator}"
 
 

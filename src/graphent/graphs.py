@@ -15,7 +15,7 @@ The cut-rank of a vertex subset A is the rank over GF(2) of the
 adjacency block between A and its complement. The graph state |G> has
 Tr rho_A^2 = 2^-cutrank(A) (Hein, Eisert, Briegel, PRA 69, 062311
 (2004)); cut_rank_histogram gets every purity by counting stabilizer
-supports (Fattal et al., quant-ph/0406168): 0.9-1.7 ms, 1.1 MB at n=16.
+supports (Fattal et al., quant-ph/0406168).
 """
 
 from __future__ import annotations
@@ -123,12 +123,6 @@ def make_graph(n: int, edges) -> Graph:
     return Graph(tuple(adj))
 
 
-def neighbors(g: Graph, a: int) -> set[int]:
-    """All vertices adjacent to a."""
-    check_label(a, g.n)
-    return {u + 1 for u in range(g.n) if g.adj[a - 1] >> u & 1}
-
-
 def local_complement(g: Graph, a: int) -> Graph:
     """Complement the subgraph induced on the neighborhood of a.
 
@@ -194,7 +188,7 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
     the set x has support x | nbr[x], nbr[x] the XOR of x's
     neighbourhoods. The supports that leave out vertex n are tallied, and
     a subset-sum pass turns the tallies into every |S_A|. About 3n numpy
-    calls on 2^(n-1) int64: 0.9-1.7 ms, 1.1 MB traced peak at n = 16.
+    calls on 2^(n-1) int64: 1-2 ms, 1.1 MB traced peak at n = 16.
     """
     half = 1 << (g.n - 1)
     nbr = np.zeros(1, dtype=np.int64)

@@ -89,7 +89,8 @@ class GemDiagnostics:
     draws redrawn before sweep 1; restart_sweeps sums, over the sweeps,
     the restarts still active in each. The largest product fidelity lies
     in [best_fidelity, ceiling], so the geometric measure lies in
-    [1 - ceiling, 1 - best_fidelity]. The bound path does no work: no
+    [1 - ceiling, 1 - best_fidelity]; gem clamps every fidelity to the
+    ceiling, so rounding never inverts it. The bound path does no work: no
     restarts, no sweeps, and best_restart_index -1."""
 
     restarts_used: int
@@ -252,7 +253,9 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     _TIE_TOL, the restarts that restarts_at_best counts) broken toward
     the lowest restart index. The see-saw result is reproducible for a
     fixed config and is an upper bound on the true measure; the
-    diagnostics' ceiling gives 1 - ceiling as a lower one.
+    diagnostics' ceiling gives 1 - ceiling as a lower one. Every final
+    fidelity is clamped to the ceiling, so that interval holds by
+    construction even where rounding lifts a fidelity past the ceiling.
     """
     cfg = cfg or GemConfig()
     n = _qubit_count(state)
@@ -308,7 +311,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             if active.size == 0:
                 break
     fidelities[active] = swept
-    fidelities = np.clip(fidelities, 0.0, 1.0)
+    fidelities = np.minimum(fidelities, ceiling)
     best_fid = float(fidelities.max())
     at_best = np.flatnonzero(fidelities >= best_fid - _TIE_TOL)
     diag = GemDiagnostics(

@@ -30,14 +30,18 @@ def _subset(state: np.ndarray, keep: Iterable[int]) -> tuple[int, tuple[int, ...
     return n, keep
 
 
-def _split_matrix(state: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """Reshape the state into a (kept) x (traced) matrix M with
-    rho_keep = M M^dagger."""
+def _gram(state: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+    """The Gram matrix on the smaller side of the cut, for the (kept) x
+    (traced) split M of the state: M M^dagger = rho_keep, or M^dagger M,
+    the transpose of the traced side's reduced state, when that side is
+    smaller. Both sides share their nonzero spectrum."""
     t = np.asarray(state, dtype=complex).reshape((2,) * n)
     kept_axes = [q - 1 for q in keep]
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
-    t = np.transpose(t, kept_axes + other_axes)
-    return t.reshape(2 ** len(keep), 2 ** (n - len(keep)))
+    m = np.transpose(t, kept_axes + other_axes).reshape(2 ** len(keep), -1)
+    if 2 * len(keep) <= n:
+        return m @ m.conj().T
+    return m.conj().T @ m
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
@@ -45,8 +49,7 @@ def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
     both sides of a bipartition have equal purity, so the Gram matrix is
     built on the smaller side."""
     n, keep = _subset(state, keep)
-    gram = _smaller_gram(_split_matrix(state, keep, n))
-    return _checked(float(np.sum(np.abs(gram) ** 2)))
+    return _checked(float(np.sum(np.abs(_gram(state, keep, n)) ** 2)))
 
 
 def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
@@ -56,7 +59,7 @@ def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
     n, keep = _subset(state, cut)
     if len(keep) == n:
         raise ValueError(f"cut must be a proper subset, got {keep!r}")
-    return _checked(float(np.linalg.eigvalsh(_smaller_gram(_split_matrix(state, keep, n)))[-1]))
+    return _checked(float(np.linalg.eigvalsh(_gram(state, keep, n))[-1]))
 
 
 def _checked(value: float) -> float:
@@ -67,11 +70,3 @@ def _checked(value: float) -> float:
     if value <= 0.0:
         raise ValueError("statevector has (near-)zero norm")
     return value
-
-
-def _smaller_gram(m: np.ndarray) -> np.ndarray:
-    """M M^dagger or M^dagger M, whichever is smaller; both have the same
-    nonzero spectrum."""
-    if m.shape[0] <= m.shape[1]:
-        return m @ m.conj().T
-    return m.conj().T @ m

@@ -230,14 +230,14 @@ def test_criterion_09_distinct_and_disjoint(report):
            f"{overlaps} orbit overlaps across 990 pairs")
 
 
-def test_criterion_10_determinism(tmp_path, report):
+def test_criterion_10_determinism(tmp_path, report, child_env):
     blobs = []
     for name in ("a.json", "b.json"):
         dest = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "graphent.cli", "classify", "--measure",
              "gem", "--seed", "7", "--format", "json", "--out", str(dest)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(dest.read_bytes())

@@ -67,6 +67,21 @@ def test_group_tol_validation():
         group_by_value([(1, 1.0)], tol=0.0)
 
 
+def test_group_rejects_non_finite_values():
+    # NaN compares false both ways, so it once joined one class with
+    # every value around it.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="id 2 is not finite"):
+            group_by_value([(1, 1.0), (2, bad), (3, 1.0)])
+
+
+def test_report_rejects_a_non_finite_value(gcm_values):
+    # id 7 at NaN once merged ids 6, 7 and 20 into one GCM class.
+    values = [(gid, float("nan") if gid == 7 else v) for gid, v in gcm_values]
+    with pytest.raises(ValueError, match="id 7 is not finite"):
+        build_report("GCM", values=values)
+
+
 def test_resolution_power():
     assert resolution_power(27, 45) == pytest.approx(60.0)
     assert resolution_power(7, 45) == pytest.approx(100.0 * 7 / 45)
@@ -79,6 +94,14 @@ def test_rp_fraction():
     assert rp_fraction(27, 45) == "3/5"
     assert rp_fraction(7, 45) == "7/45"
     assert rp_fraction(4, 4) == "1/1"
+
+
+def test_rp_fraction_follows_resolution_powers_rule():
+    for kappa in (0, -5):
+        with pytest.raises(ValueError, match="eta_kappa must be >= 1"):
+            rp_fraction(1, kappa)
+        with pytest.raises(ValueError, match="eta_kappa must be >= 1"):
+            resolution_power(1, kappa)
 
 
 def test_gcm_report_structure(gcm_values):

@@ -1,11 +1,13 @@
 """CLI tests driven through main() plus one end-to-end subprocess check."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
 import itertools
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -366,6 +368,24 @@ def test_readme_examples_parse():
         cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
+def test_readme_python_tour_values():
+    # The README's Python block runs, and each expression whose "#"
+    # comment starts with a number evaluates to a value whose repr is
+    # that number, as an interactive session would print it.
+    block = README.read_text().split("```python\n")[1].split("```")[0]
+    lines, namespace, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        comment = lines[stmt.end_lineno - 1].partition("#")[2]
+        shown = re.match(r"\s*(-?\d[\d.]*)\b", comment)
+        if isinstance(stmt, ast.Expr) and shown:
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            assert repr(value) == shown[1], ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked >= 6
+
+
 def complete_entry(gid: int, n: int) -> CatalogEntry:
     return CatalogEntry(gid, make_graph(n, list(itertools.combinations(range(1, n + 1), 2))))
 
@@ -520,10 +540,10 @@ def test_cli_text_matches_golden_bytes(golden, command):
     assert stdout_of(command) == golden[command]
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "graphent.cli", "gcm", "--graph", "44"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "GCM = 1.75891\n"

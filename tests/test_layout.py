@@ -141,7 +141,6 @@ PUBLIC_SIGNATURES = {
     "local_complement": ["g", "a"],
     "make_graph": ["n", "edges"],
     "measure_values": ["kind", "cfg"],
-    "neighbors": ["g", "a"],
     "parse_edge_list": ["text"],
     "relabel": ["g", "perm"],
     "resolution_power": ["eta_measure", "eta_kappa"],

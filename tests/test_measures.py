@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -16,6 +15,7 @@ from graphent.catalog import all_entries, catalog_get
 from graphent.graphs import (
     MAX_VERTICES,
     independence_number,
+    is_connected,
     local_complement,
     make_graph,
 )
@@ -34,7 +34,7 @@ from graphent.reductions import subset_purity, top_schmidt_weight
 from graphent.states import apply_local_unitary, build_graph_state
 
 from test_reductions import einsum_reduction
-from test_states import for_random_graphs, ket, random_unitary
+from test_states import for_random_graphs, ket, random_graph, random_unitary
 
 
 def ghz(n: int) -> np.ndarray:
@@ -473,6 +473,25 @@ def test_gem_graphs_off_the_bound_keep_the_see_saw():
         assert d.best_fidelity <= d.ceiling
 
 
+def test_gem_interval_holds_on_every_path():
+    # [1 - ceiling, value] holds on every path: rounding may not lift a
+    # fidelity past its ceiling, on the catalog's statevectors nor on
+    # random n = 8 graphs, whose draws take all three Graph paths.
+    rng, graphs = random.Random(8), []
+    while len(graphs) < 60:
+        g = random_graph(rng, 8, 0.4)
+        if is_connected(g):
+            graphs.append(g)
+    results = [(e.id, gem(build_graph_state(e.graph))) for e in all_entries()]
+    results += [(g, gem(g)) for g in graphs]
+    for where, res in results:
+        d = res.diagnostics
+        assert d.best_fidelity <= d.ceiling, where
+        assert res.value >= 1.0 - d.ceiling, where
+    methods = [res.method for _, res in results[45:]]
+    assert {"bound", "certified", "see-saw"} <= set(methods)
+
+
 SEE_SAW_WORK = Path(__file__).parent / "data" / "gem_seesaw_work.json"
 _WORK_FIELDS = ("iterations", "restart_sweeps", "restarts_at_best",
                 "best_restart_index", "degenerate_redraws", "converged")
@@ -511,13 +530,13 @@ print(res.method, (cpu_s() - cpu) / (time.perf_counter() - wall))
 """
 
 
-def test_gem_see_saw_keeps_to_one_core():
+def test_gem_see_saw_keeps_to_one_core(child_env):
     # Two BLAS threads allowed, a random 14-vertex graph whose floor and
     # ceiling differ: 0.5 to 1 s of see-saw. A step that reached
     # threaded BLAS (matmul, matvec, vecmat or vecdot on long rows)
     # reads about 2 CPU seconds per wall second; load from other
     # processes can only lower the ratio.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    env = {**child_env, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
     proc = subprocess.run([sys.executable, "-c", _ONE_CORE_GEM], env=env,
                           capture_output=True, text=True, check=True)
     method, ratio = proc.stdout.split()

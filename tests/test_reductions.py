@@ -71,16 +71,19 @@ def test_ghz_single_qubit_purities():
 
 
 def test_partial_trace_matches_einsum_oracle():
-    # The reduction subset_purity and top_schmidt_weight take their Gram
-    # matrices from: rho_keep = M M^dagger for the split matrix M.
+    # The Gram matrix subset_purity and top_schmidt_weight reduce is the
+    # smaller side's reduced state, transposed when that is the traced
+    # side; each n here has keeps on both sides of n/2.
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         psi = random_state(rng, n)
-        r = int(rng.integers(1, n))
-        keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
-        m = reductions._split_matrix(psi, keep, n)
-        assert np.allclose(m @ m.conj().T, einsum_reduction(psi, keep, n), atol=1e-12)
+        for r in range(1, n):
+            keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
+            comp = tuple(q for q in range(1, n + 1) if q not in keep)
+            want = (einsum_reduction(psi, keep, n) if 2 * r <= n
+                    else einsum_reduction(psi, comp, n).T)
+            assert np.allclose(reductions._gram(psi, keep, n), want, atol=1e-12)
 
 
 def test_subset_purity_matches_dense_path():
