@@ -9,10 +9,11 @@ with A running over one side of each of the 2^(n-1) - 1 bipartitions
 (both sides have the same purity). It takes either input, of at most
 MAX_VERTICES qubits. For a Graph, every purity is exact and
 combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank taken over
-GF(2), so no statevector is built ("cut-rank" path). For a statevector,
-such as a graph state after arbitrary local unitaries, each purity
-comes from a reduced Gram matrix ("statevector" path). The geometric
-one is
+GF(2), so no statevector is built ("cut-rank" path). A statevector,
+such as a graph state after arbitrary local unitaries, passes the one
+statevector rule, states.checked_state, as it enters any function here;
+each purity comes from a reduced Gram matrix ("statevector" path). The
+geometric one is
 
     1 - max |<phi|psi>|^2
 
@@ -35,20 +36,13 @@ systems only).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import (
-    MAX_VERTICES,
-    Graph,
-    cut_rank_histogram,
-    independence_number,
-    is_int,
-)
-from graphent.reductions import subset_purity, top_schmidt_weight
-from graphent.states import build_graph_state, num_qubits
+from graphent.graphs import Graph, cut_rank_histogram, independence_number, is_int
+from graphent.reductions import purity_sum, schmidt_ceiling, top_schmidt_weight
+from graphent.states import build_graph_state, checked_state
 
 _TIE_TOL = 1e-9
 _DEGENERATE_NORM = 1e-15
@@ -117,32 +111,10 @@ class MeasureResult:
     diagnostics: GemDiagnostics | None = None
 
 
-def _normalized(state: np.ndarray) -> np.ndarray:
-    s = np.asarray(state, dtype=complex)
-    norm = np.sqrt(np.sum(s.real**2 + s.imag**2))
-    if not np.isfinite(norm):
-        raise ValueError("statevector amplitudes are not finite")
-    if norm < 1e-12:
-        raise ValueError("statevector has (near-)zero norm")
-    return s / norm
-
-
-def _qubit_count(state: Graph | np.ndarray) -> int:
-    """Qubits of a Graph or statevector; gcm and gem refuse past MAX_VERTICES."""
-    n = state.n if isinstance(state, Graph) else num_qubits(state)
-    if n > MAX_VERTICES:
-        raise ValueError(f"at most MAX_VERTICES = {MAX_VERTICES} qubits, got {n}")
-    return n
-
-
-def _cuts(n: int):
-    """Each bipartition of qubits 1..n once, as its smaller side (of an
-    exact half, the side holding qubit 1): both sides share their purity
-    and Schmidt weights."""
-    for r in range(1, n // 2 + 1):
-        for c in itertools.combinations(range(1, n + 1), r):
-            if 2 * r < n or c[0] == 1:
-                yield c
+def _normalized(state: np.ndarray) -> tuple[np.ndarray, int]:
+    """The checked statevector at unit norm, and its qubit count."""
+    s, n = checked_state(state)
+    return s / np.sqrt(np.sum(s.real**2 + s.imag**2)), n
 
 
 def gcm(state: Graph | np.ndarray) -> MeasureResult:
@@ -151,20 +123,19 @@ def gcm(state: Graph | np.ndarray) -> MeasureResult:
     A Graph stands for its graph state |G>. Its purities are 2^-k summed
     over the cut-rank histogram; each term is a dyadic rational, so the
     sum is exact and independent of order. A statevector is reduced
-    explicitly, once per bipartition (_cuts): a subsystem and its
-    complement have equal purity.
+    explicitly, once per bipartition (reductions.purity_sum): a subsystem
+    and its complement have equal purity.
     """
-    n = _qubit_count(state)
-    if isinstance(state, Graph):
-        counts = cut_rank_histogram(state)
-        return _gcm_result(n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
-    s = _normalized(state)
-    return _gcm_result(n, sum(subset_purity(s, c) for c in _cuts(n)), "statevector")
+    if not isinstance(state, Graph):
+        psi, n = _normalized(state)
+        return _gcm_result(n, purity_sum(psi, n), "statevector")
+    counts = cut_rank_histogram(state)
+    return _gcm_result(state.n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
 
 
-def _gcm_result(n: int, purity_sum: float, method: str) -> MeasureResult:
-    """2^(1 - n/2) sqrt(2^n - 2 - 2 purity_sum), summed over bipartitions."""
-    radicand = 2**n - 2 - 2.0 * purity_sum
+def _gcm_result(n: int, purities: float, method: str) -> MeasureResult:
+    """2^(1 - n/2) sqrt(2^n - 2 - 2 purities), summed over bipartitions."""
+    radicand = 2**n - 2 - 2.0 * purities
     if radicand < -1e-10:
         raise ValueError(f"purity sum exceeds bound by {-radicand}")
     value = 2.0 ** (1.0 - n / 2.0) * np.sqrt(max(radicand, 0.0))
@@ -211,10 +182,10 @@ def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarr
 def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
     """Top Schmidt weight of the most entangled cut: no product state's
     fidelity exceeds it. For a graph it is 2^-(max cut-rank); a
-    statevector must come normalized."""
+    statevector must come checked and normalized."""
     if isinstance(state, Graph):
         return 0.5 ** (cut_rank_histogram(state).size - 1)
-    return min([1.0, *(top_schmidt_weight(state, c) for c in _cuts(num_qubits(state)))])
+    return schmidt_ceiling(state, state.size.bit_length() - 1)
 
 
 def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
@@ -258,8 +229,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     construction even where rounding lifts a fidelity past the ceiling.
     """
     cfg = cfg or GemConfig()
-    n = _qubit_count(state)
-    psi = state if isinstance(state, Graph) else _normalized(state)
+    psi, n = (state, state.n) if isinstance(state, Graph) else _normalized(state)
     ceiling = _fidelity_ceiling(psi)
     if isinstance(state, Graph):
         if 0.5 ** (n - independence_number(state)) == ceiling:
@@ -331,7 +301,7 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     top Schmidt weight, so this is exact for 2 qubits and a lower bound
     on the geometric measure otherwise.
     """
-    return 1.0 - min(top_schmidt_weight(_normalized(state), cut), 1.0)
+    return 1.0 - min(top_schmidt_weight(_normalized(state)[0], cut), 1.0)
 
 
 def _grid_refine(s: np.ndarray, angles: np.ndarray,
@@ -386,10 +356,9 @@ def brute_force_gem(state: np.ndarray) -> float:
     azimuths, then polishes the best grid point with local window
     searches. An upper bound on the geometric measure. Deterministic.
     """
-    n = num_qubits(state)
+    s, n = _normalized(state)
     if n > 3:
         raise ValueError(f"grid search supports at most 3 qubits, got {n}")
-    s = _normalized(state)
     theta = np.linspace(0.0, np.pi, _GRID_DENSITY)
     phi = np.linspace(0.0, 2.0 * np.pi, _GRID_DENSITY, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")

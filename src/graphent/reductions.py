@@ -3,23 +3,23 @@
 A subsystem is given as a collection of 1-indexed qubit labels. Each
 quantity comes from the Gram matrix of the state's amplitudes on the
 smaller side of the cut, so no full reduced density matrix is formed.
-Graph states need no statevector for their purities: see
-graphs.cut_rank_histogram.
+states.checked_state checks a state once per call, never per cut;
+purity_sum and schmidt_ceiling take one checked by their caller. Graph
+states need no statevector for their purities: see graphs.cut_rank_histogram.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections.abc import Iterable
 
 import numpy as np
 
 from graphent.graphs import check_label
-from graphent.states import num_qubits
+from graphent.states import checked_state
 
 
-def _subset(state: np.ndarray, keep: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    n = num_qubits(state)
+def _subset(keep: Iterable[int], n: int) -> tuple[int, ...]:
     keep = tuple(keep)
     for q in keep:
         check_label(q, n, "qubit")
@@ -27,46 +27,67 @@ def _subset(state: np.ndarray, keep: Iterable[int]) -> tuple[int, tuple[int, ...
         raise ValueError(f"duplicate qubits in subsystem {keep!r}")
     if not keep:
         raise ValueError("subsystem must contain at least one qubit")
-    return n, keep
+    return keep
 
 
-def _gram(state: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
+def _gram(s: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
     """The Gram matrix on the smaller side of the cut, for the (kept) x
-    (traced) split M of the state: M M^dagger = rho_keep, or M^dagger M,
-    the transpose of the traced side's reduced state, when that side is
-    smaller. Both sides share their nonzero spectrum."""
-    t = np.asarray(state, dtype=complex).reshape((2,) * n)
+    (traced) split M of the complex state s: M M^dagger = rho_keep, or
+    M^dagger M, the transpose of the traced side's reduced state, when
+    that side is smaller. Both sides share their nonzero spectrum."""
     kept_axes = [q - 1 for q in keep]
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
-    m = np.transpose(t, kept_axes + other_axes).reshape(2 ** len(keep), -1)
+    m = s.reshape((2,) * n).transpose(kept_axes + other_axes).reshape(2 ** len(keep), -1)
     if 2 * len(keep) <= n:
         return m @ m.conj().T
     return m.conj().T @ m
+
+
+def _purity(s: np.ndarray, keep: tuple[int, ...], n: int) -> float:
+    return float(np.sum(np.abs(_gram(s, keep, n)) ** 2))
+
+
+def _top_weight(s: np.ndarray, keep: tuple[int, ...], n: int) -> float:
+    return float(np.linalg.eigvalsh(_gram(s, keep, n))[-1])
+
+
+def _cuts(n: int):
+    """Each bipartition of qubits 1..n once, as its smaller side (of an
+    exact half, the side holding qubit 1): both sides share their purity
+    and Schmidt weights."""
+    for r in range(1, n // 2 + 1):
+        for c in itertools.combinations(range(1, n + 1), r):
+            if 2 * r < n or c[0] == 1:
+                yield c
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
     """Tr(rho_keep^2) computed without forming the larger Gram matrix:
     both sides of a bipartition have equal purity, so the Gram matrix is
     built on the smaller side."""
-    n, keep = _subset(state, keep)
-    return _checked(float(np.sum(np.abs(_gram(state, keep, n)) ** 2)))
+    s, n = checked_state(state)
+    return _purity(s, _subset(keep, n), n)
 
 
 def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
     """The largest eigenvalue of the reduction onto cut, a proper subset
     of the qubits: for a normalized state, its top Schmidt weight across
     that bipartition. Taken from the Gram matrix on the smaller side."""
-    n, keep = _subset(state, cut)
+    s, n = checked_state(state)
+    keep = _subset(cut, n)
     if len(keep) == n:
         raise ValueError(f"cut must be a proper subset, got {keep!r}")
-    return _checked(float(np.linalg.eigvalsh(_gram(state, keep, n))[-1]))
+    return _top_weight(s, keep, n)
 
 
-def _checked(value: float) -> float:
-    """value, unless it shows the state had non-finite amplitudes or zero
-    norm: one comparison per cut, where normalizing would cost a pass."""
-    if not math.isfinite(value):
-        raise ValueError("statevector amplitudes are not finite")
-    if value <= 0.0:
-        raise ValueError("statevector has (near-)zero norm")
-    return value
+def purity_sum(s: np.ndarray, n: int) -> float:
+    """The sum of subset_purity over one side of each of the 2^(n-1) - 1
+    bipartitions of the checked n-qubit state s."""
+    return sum(_purity(s, c, n) for c in _cuts(n))
+
+
+def schmidt_ceiling(s: np.ndarray, n: int) -> float:
+    """The smallest top Schmidt weight over all bipartitions of the
+    checked, normalized n-qubit state s, and at most 1.0: no product
+    state's fidelity with s exceeds it."""
+    return min([1.0, *(_top_weight(s, c, n) for c in _cuts(n))])

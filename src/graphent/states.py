@@ -3,25 +3,40 @@
 A state on n qubits is a complex vector of length 2^n. Qubit 1 maps to
 the most significant bit of the basis index, so |q1 q2 ... qn> sits at
 index q1*2^(n-1) + ... + qn. All qubit arguments are 1-indexed.
-One helper serves X_a and the Z's on N(a) for the vertex operators.
+One helper serves X_a and the Z's on N(a) for the vertex operators. Every
+public statevector function, here and in reductions and measures, starts
+with checked_state, the one statevector rule.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from graphent.graphs import Graph, check_label
+from graphent.graphs import MAX_VERTICES, Graph, check_label
 
 
-def num_qubits(state: np.ndarray) -> int:
-    """Qubit count of a statevector; validates shape."""
-    state = np.asarray(state)
-    if state.ndim != 1:
-        raise ValueError(f"statevector must be 1-D, got shape {state.shape}")
-    size = state.size
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"statevector length {size} is not a power of two")
-    return size.bit_length() - 1
+def checked_state(state) -> tuple[np.ndarray, int]:
+    """The statevector as a contiguous complex array, and its qubit count n.
+    It must hold 2^n amplitudes, 1 <= n <= MAX_VERTICES (checked first),
+    and a norm of at least 1e-12 whose square, one einsum over the float
+    view (off BLAS), is finite, which a NaN, an inf or an overflow fails."""
+    s = np.asarray(state)
+    if s.ndim != 1:
+        raise ValueError(f"statevector must be 1-D, got shape {s.shape}")
+    if s.size < 2 or s.size & (s.size - 1):
+        raise ValueError(f"statevector length {s.size} is not a power of two")
+    n = s.size.bit_length() - 1
+    if n > MAX_VERTICES:
+        raise ValueError(f"at most MAX_VERTICES = {MAX_VERTICES} qubits, got {n}")
+    s = np.ascontiguousarray(s, dtype=complex)
+    squared = float(np.einsum("i,i->", s.view(float), s.view(float)))
+    if not math.isfinite(squared):
+        raise ValueError("statevector amplitudes are not finite")
+    if math.sqrt(squared) < 1e-12:
+        raise ValueError("statevector has (near-)zero norm")
+    return s, n
 
 
 def build_graph_state(g: Graph) -> np.ndarray:
@@ -44,14 +59,14 @@ def apply_local_unitary(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndar
 
     Raises ValueError if u is not 2x2 unitary to within 1e-10.
     """
-    n = num_qubits(state)
+    s, n = checked_state(state)
     check_label(qubit, n, "qubit")
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10):
         raise ValueError("matrix is not unitary")
-    t = np.asarray(state, dtype=complex).reshape((2,) * n)
+    t = s.reshape((2,) * n)
     t = np.moveaxis(t, qubit - 1, 0)
     t = (u @ t.reshape(2, -1)).reshape((2,) + (2,) * (n - 1))
     return np.moveaxis(t, 0, qubit - 1).reshape(-1)
@@ -61,14 +76,13 @@ def _vertex_action(state: np.ndarray, g: Graph, a: int):
     """The checked state as a complex vector, the index map of X_a (it
     flips qubit a) and how many of a's neighbours each basis index sets;
     a is not its own neighbour, so an index and its flip share that count."""
-    n = num_qubits(state)
+    s, n = checked_state(state)
     if n != g.n:
         raise ValueError(f"state has {n} qubits but graph has {g.n} vertices")
     check_label(a, n)
     zmask = sum(1 << (n - 1 - u) for u in range(n) if g.adj[a - 1] >> u & 1)
     idx = np.arange(1 << n)
-    return (np.asarray(state, dtype=complex), idx ^ (1 << (n - a)),
-            np.bitwise_count(idx & zmask))
+    return s, idx ^ (1 << (n - a)), np.bitwise_count(idx & zmask)
 
 
 def lc_unitary_apply(state: np.ndarray, g: Graph, a: int) -> np.ndarray:
@@ -86,8 +100,7 @@ def lc_unitary_apply(state: np.ndarray, g: Graph, a: int) -> np.ndarray:
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> with the first argument conjugated."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = checked_state(a)[0], checked_state(b)[0]
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))

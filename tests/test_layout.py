@@ -4,12 +4,14 @@ Every imported name is used (the package __init__ re-exports, so it is
 exempt, and its __all__ lists exactly what it imports, sorted),
 graphent modules import each other at module level only and only by
 public names, and those imports form no cycle. The parameters of the
-public API are pinned in one inventory.
+public API are pinned in one inventory. Every module parses at the
+Python floor pyproject.toml declares.
 """
 
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import graphent
@@ -87,6 +89,15 @@ def test_graphent_import_graph_has_no_cycle():
 
     for name in sorted(edges):
         visit(name, [])
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # A regex reads requires-python, since tomllib is not in Python 3.10.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_every_exported_name_has_its_own_docstring():

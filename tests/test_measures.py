@@ -1,5 +1,6 @@
 """Measure tests: closed-form values, see-saw behavior, oracles."""
 
+import inspect
 import itertools
 import json
 import random
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphent
+from graphent import measures, reductions, states
 from graphent.catalog import all_entries, catalog_get
 from graphent.graphs import (
     MAX_VERTICES,
@@ -31,7 +34,13 @@ from graphent.measures import (
     gem_bipartite_oracle,
 )
 from graphent.reductions import subset_purity, top_schmidt_weight
-from graphent.states import apply_local_unitary, build_graph_state
+from graphent.states import (
+    apply_local_unitary,
+    build_graph_state,
+    inner_product,
+    lc_unitary_apply,
+    stabilizer_expectation,
+)
 
 from test_reductions import einsum_reduction
 from test_states import for_random_graphs, ket, random_graph, random_unitary
@@ -132,20 +141,31 @@ def test_gcm_reports_its_method():
 
 
 def test_gcm_statevector_reduces_each_bipartition_once(monkeypatch):
-    calls = []
+    # One Gram matrix per bipartition, each a different one, and one
+    # check of the state for the whole call, none per cut.
+    grams, checks = [], []
+    gram, check = reductions._gram, states.checked_state
 
-    def counting(state, keep):
-        calls.append(frozenset(keep))
-        return subset_purity(state, keep)
+    def counting_gram(s, keep, n):
+        grams.append(frozenset(keep))
+        return gram(s, keep, n)
 
-    monkeypatch.setattr("graphent.measures.subset_purity", counting)
+    def counting_check(state):
+        checks.append(len(state))
+        return check(state)
+
+    monkeypatch.setattr(reductions, "_gram", counting_gram)
+    for module in (measures, reductions):
+        monkeypatch.setattr(module, "checked_state", counting_check)
     for n in (6, 7):
-        calls.clear()
+        grams.clear()
+        checks.clear()
         psi = build_graph_state(make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)]))
         gcm(psi)
         everyone = frozenset(range(1, n + 1))
-        assert len(calls) == 2 ** (n - 1) - 1
-        assert len({frozenset((c, everyone - c)) for c in calls}) == len(calls)
+        assert len(grams) == 2 ** (n - 1) - 1
+        assert len({frozenset((c, everyone - c)) for c in grams}) == len(grams)
+        assert checks == [2**n]
 
 
 def test_gcm_and_gem_fail_fast_past_max_vertices():
@@ -170,20 +190,38 @@ def test_single_qubit_measures_are_zero():
         assert gem(state).value == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_statevector_entry_points_reject_degenerate_amplitudes():
-    path = build_graph_state(make_graph(3, [(1, 2), (2, 3)]))
-    entry_points = [gcm, gem, lambda s: gem_bipartite_oracle(s, (1,)),
-                    brute_force_gem,
-                    lambda s: subset_purity(s, (1,)),
-                    lambda s: top_schmidt_weight(s, (1,))]
+    # Every exported function with a state parameter, plus inner_product
+    # and top_schmidt_weight, rejects each degenerate state before any
+    # work, with the message of states.checked_state.
+    g = make_graph(3, [(1, 2), (2, 3)])
+    path = build_graph_state(g)
+    calls = [
+        ("apply_local_unitary", lambda s: apply_local_unitary(s, np.eye(2), 1)),
+        ("brute_force_gem", brute_force_gem),
+        ("gcm", gcm),
+        ("gem", gem),
+        ("gem_bipartite_oracle", lambda s: gem_bipartite_oracle(s, (1,))),
+        ("inner_product", lambda s: inner_product(s, path)),
+        ("inner_product", lambda s: inner_product(path, s)),
+        ("lc_unitary_apply", lambda s: lc_unitary_apply(s, g, 1)),
+        ("stabilizer_expectation", lambda s: stabilizer_expectation(s, g, 1)),
+        ("subset_purity", lambda s: subset_purity(s, (1,))),
+        ("top_schmidt_weight", lambda s: top_schmidt_weight(s, (1,))),
+    ]
+    takes_state = {name for name in graphent.__all__
+                   if inspect.isfunction(fn := getattr(graphent, name))
+                   and "state" in inspect.signature(fn).parameters}
+    assert {name for name, _ in calls} == takes_state | {"inner_product", "top_schmidt_weight"}
     nan, inf = path.copy(), path.copy()
     nan[0], inf[0] = np.nan, np.inf
+    n = MAX_VERTICES + 1
     for state, message in ((nan, "not finite"), (inf, "not finite"),
-                           (np.zeros(8), "zero norm")):
-        for measure in entry_points:
+                           (np.zeros(8), "zero norm"), (1e-14 * path, "zero norm"),
+                           (np.full(2**n, 2.0 ** (-n / 2.0)), "MAX_VERTICES")):
+        for _, call in calls:
             with pytest.raises(ValueError, match=message):
-                measure(state)
+                call(state)
 
 
 def test_gcm_deterministic():

@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from graphent.graphs import local_complement, make_graph
+from graphent.graphs import MAX_VERTICES, local_complement, make_graph
 from graphent.states import (
     apply_local_unitary,
     build_graph_state,
+    checked_state,
     inner_product,
     lc_unitary_apply,
-    num_qubits,
     stabilizer_expectation,
 )
 
@@ -67,7 +67,7 @@ def plus_state(n: int) -> np.ndarray:
 def apply_cz(state: np.ndarray, i: int, j: int) -> np.ndarray:
     """Controlled-Z between qubits i and j: negate the amplitudes with
     both bits set. The one-CZ-per-edge oracle for build_graph_state."""
-    n = num_qubits(state)
+    n = checked_state(state)[1]
     mask = (1 << (n - i)) | (1 << (n - j))
     out = np.array(state, dtype=complex)
     out[(np.arange(out.size) & mask) == mask] *= -1.0
@@ -329,11 +329,21 @@ def test_inner_product_conjugates_first_argument():
         inner_product(a, np.ones(4))
 
 
-def test_num_qubits_validation():
-    assert num_qubits(np.ones(8)) == 3
-    with pytest.raises(ValueError):
-        num_qubits(np.ones(6))
-    with pytest.raises(ValueError):
-        num_qubits(np.ones((2, 2)))
+def test_checked_state_validation():
+    s, n = checked_state(np.ones(8))
+    assert n == 3 and s.dtype == complex
+    np.testing.assert_array_equal(s, np.ones(8))
+    with pytest.raises(ValueError, match="length 6 is not a power of two"):
+        checked_state(np.ones(6))
+    with pytest.raises(ValueError, match="must be 1-D"):
+        checked_state(np.ones((2, 2)))
     with pytest.raises(ValueError, match="length 0 is not a power of two"):
-        num_qubits(np.zeros(0))
+        checked_state(np.zeros(0))
+    nan = np.ones(8)
+    nan[3] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        checked_state(nan)
+    with pytest.raises(ValueError, match="zero norm"):
+        checked_state(np.zeros(8))
+    with pytest.raises(ValueError, match=f"MAX_VERTICES = 16 qubits, got {MAX_VERTICES + 1}"):
+        checked_state(np.ones(2 ** (MAX_VERTICES + 1)))
