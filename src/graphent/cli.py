@@ -62,7 +62,7 @@ from graphent.graphs import (
     lc_orbit,
     local_complement,
 )
-from graphent.measures import GemConfig, gcm, gem
+from graphent.measures import DegenerateContractionError, GemConfig, gcm, gem
 from graphent.states import (
     build_graph_state,
     inner_product,
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(out)
         return code
-    except (ValueError, OrbitBudgetExceeded, OSError) as exc:
+    except (ValueError, OrbitBudgetExceeded, DegenerateContractionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ MAX_VERTICES qubits. For a Graph, every purity is exact and
 combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank taken over
 GF(2), so no statevector is built ("cut-rank" path). A statevector,
 such as a graph state after arbitrary local unitaries, passes the one
-statevector rule, states.checked_state, as it enters any function here;
-each purity comes from a reduced Gram matrix ("statevector" path). The
+statevector rule, states.checked_state, once as it enters any public
+function here; the reductions it reaches take it checked, with its n.
+Each purity comes from a reduced Gram matrix ("statevector" path). The
 geometric one is
 
     1 - max |<phi|psi>|^2
@@ -179,13 +180,9 @@ def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarr
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _fidelity_ceiling(state: Graph | np.ndarray) -> float:
-    """Top Schmidt weight of the most entangled cut: no product state's
-    fidelity exceeds it. For a graph it is 2^-(max cut-rank); a
-    statevector must come checked and normalized."""
-    if isinstance(state, Graph):
-        return 0.5 ** (cut_rank_histogram(state).size - 1)
-    return schmidt_ceiling(state, state.size.bit_length() - 1)
+def _fidelity_ceiling(g: Graph) -> float:
+    """2^-(max cut-rank), the top Schmidt weight of |G>'s most entangled cut."""
+    return 0.5 ** (cut_rank_histogram(g).size - 1)
 
 
 def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResult:
@@ -229,9 +226,8 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     construction even where rounding lifts a fidelity past the ceiling.
     """
     cfg = cfg or GemConfig()
-    psi, n = (state, state.n) if isinstance(state, Graph) else _normalized(state)
-    ceiling = _fidelity_ceiling(psi)
     if isinstance(state, Graph):
+        n, ceiling = state.n, _fidelity_ceiling(state)
         if 0.5 ** (n - independence_number(state)) == ceiling:
             diag = GemDiagnostics(
                 restarts_used=0, best_restart_index=-1, iterations=0,
@@ -241,6 +237,9 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             return MeasureResult(kind="GEM", value=1.0 - ceiling, method="bound",
                                  diagnostics=diag)
         psi = build_graph_state(state)  # its norm is exactly 1.0
+    else:
+        psi, n = _normalized(state)
+        ceiling = schmidt_ceiling(psi, n)
     r = cfg.restarts
 
     factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])
@@ -301,7 +300,8 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     top Schmidt weight, so this is exact for 2 qubits and a lower bound
     on the geometric measure otherwise.
     """
-    return 1.0 - min(top_schmidt_weight(_normalized(state)[0], cut), 1.0)
+    s, n = _normalized(state)
+    return 1.0 - min(top_schmidt_weight(s, cut, n), 1.0)
 
 
 def _grid_refine(s: np.ndarray, angles: np.ndarray,

@@ -3,8 +3,9 @@
 A subsystem is given as a collection of 1-indexed qubit labels. Each
 quantity comes from the Gram matrix of the state's amplitudes on the
 smaller side of the cut, so no full reduced density matrix is formed.
-states.checked_state checks a state once per call, never per cut;
-purity_sum and schmidt_ceiling take one checked by their caller. Graph
+subset_purity alone checks its state, with states.checked_state, once per
+call and never per cut; top_schmidt_weight (which still validates its
+cut), purity_sum and schmidt_ceiling take a checked state and its n. Graph
 states need no statevector for their purities: see graphs.cut_rank_histogram.
 """
 
@@ -69,11 +70,10 @@ def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
     return _purity(s, _subset(keep, n), n)
 
 
-def top_schmidt_weight(state: np.ndarray, cut: Iterable[int]) -> float:
-    """The largest eigenvalue of the reduction onto cut, a proper subset
-    of the qubits: for a normalized state, its top Schmidt weight across
-    that bipartition. Taken from the Gram matrix on the smaller side."""
-    s, n = checked_state(state)
+def top_schmidt_weight(s: np.ndarray, cut: Iterable[int], n: int) -> float:
+    """The largest eigenvalue of the checked n-qubit state s reduced onto
+    cut, a proper subset of the qubits: for a normalized s, its top Schmidt
+    weight across that bipartition, from the Gram matrix on the smaller side."""
     keep = _subset(cut, n)
     if len(keep) == n:
         raise ValueError(f"cut must be a proper subset, got {keep!r}")

@@ -21,7 +21,7 @@ def checked_state(state) -> tuple[np.ndarray, int]:
     """The statevector as a contiguous complex array, and its qubit count n.
     It must hold 2^n amplitudes, 1 <= n <= MAX_VERTICES (checked first),
     and a norm of at least 1e-12 whose square, one einsum over the float
-    view (off BLAS), is finite, which a NaN, an inf or an overflow fails."""
+    view (off BLAS), is finite; a state that fails is rescanned for the cause."""
     s = np.asarray(state)
     if s.ndim != 1:
         raise ValueError(f"statevector must be 1-D, got shape {s.shape}")
@@ -33,7 +33,8 @@ def checked_state(state) -> tuple[np.ndarray, int]:
     s = np.ascontiguousarray(s, dtype=complex)
     squared = float(np.einsum("i,i->", s.view(float), s.view(float)))
     if not math.isfinite(squared):
-        raise ValueError("statevector amplitudes are not finite")
+        cause = "norm overflows" if np.isfinite(s).all() else "amplitudes are not finite"
+        raise ValueError(f"statevector {cause}")
     if math.sqrt(squared) < 1e-12:
         raise ValueError("statevector has (near-)zero norm")
     return s, n

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphent import cli, graphs
+from graphent import classify, cli, graphs
 from graphent.catalog import CatalogEntry, all_entries, catalog_get, serialize_edge_list
 from graphent.cli import main
 from graphent.graphs import make_graph
+from graphent.measures import DegenerateContractionError
 
 
 README = Path(__file__).parent.parent / "README.md"
@@ -158,6 +159,20 @@ def test_orbit_budget_error(capsys, monkeypatch):
     code, _, err = run(capsys, "orbit", "--graph", "30")
     assert code == 1
     assert "budget" in err
+
+
+def test_degenerate_contraction_is_an_error(capsys, monkeypatch):
+    # A see-saw that cannot start is reported like any other graphent
+    # error, by every command that runs gem: stderr, exit 1, no output.
+    message = "restart 0 starts degenerate after 8 redraws"
+
+    def degenerate(state, cfg=None):
+        raise DegenerateContractionError(message)
+
+    for module in (cli, classify):
+        monkeypatch.setattr(module, "gem", degenerate)
+    for argv in (["gem", "--graph", "8"], ["classify", "--measure", "gem"], ["rp-table"]):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_equiv_inequivalent(capsys):

@@ -1,11 +1,12 @@
 """Source-layout rules for src/graphent, checked with the stdlib ast module.
 
 Every imported name is used (the package __init__ re-exports, so it is
-exempt, and its __all__ lists exactly what it imports, sorted),
-graphent modules import each other at module level only and only by
-public names, and those imports form no cycle. The parameters of the
-public API are pinned in one inventory. Every module parses at the
-Python floor pyproject.toml declares.
+exempt, and its __all__ lists exactly what it imports, sorted). Every
+module-level function is exported or named somewhere in the package
+outside its own body. graphent modules import each other at module
+level only and only by public names, and those imports form no cycle.
+The parameters of the public API are pinned in one inventory. Every
+module parses at the Python floor pyproject.toml declares.
 """
 
 import ast
@@ -48,6 +49,21 @@ def test_every_imported_name_is_used():
         unused += [f"{name}.py:{line} {alias}" for alias, line in imported.items()
                    if alias not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_every_module_level_function_is_exported_or_used():
+    # A helper that a simplification leaves behind shows up here: no
+    # call, reference or export names it. Names are gathered per top-level
+    # statement, so a function's own body (say, a recursive call) does not
+    # count as a use.
+    used = [(top, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                   if isinstance(n, (ast.Name, ast.Attribute))})
+            for tree in MODULES.values() for top in tree.body]
+    orphans = [f"{name}.py:{node.lineno} {node.name}"
+               for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name not in graphent.__all__
+               and not any(node.name in names for top, names in used if top is not node)]
+    assert not orphans, f"module-level functions nothing uses: {orphans}"
 
 
 def test_package_all_lists_its_imports_sorted():

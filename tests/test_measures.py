@@ -1,8 +1,10 @@
 """Measure tests: closed-form values, see-saw behavior, oracles."""
 
+import importlib
 import inspect
 import itertools
 import json
+import pkgutil
 import random
 import subprocess
 import sys
@@ -33,7 +35,7 @@ from graphent.measures import (
     gem,
     gem_bipartite_oracle,
 )
-from graphent.reductions import subset_purity, top_schmidt_weight
+from graphent.reductions import schmidt_ceiling, subset_purity
 from graphent.states import (
     apply_local_unitary,
     build_graph_state,
@@ -190,13 +192,10 @@ def test_single_qubit_measures_are_zero():
         assert gem(state).value == 0.0
 
 
-def test_statevector_entry_points_reject_degenerate_amplitudes():
-    # Every exported function with a state parameter, plus inner_product
-    # and top_schmidt_weight, rejects each degenerate state before any
-    # work, with the message of states.checked_state.
-    g = make_graph(3, [(1, 2), (2, 3)])
-    path = build_graph_state(g)
-    calls = [
+def _statevector_calls(g, path):
+    """Each exported function with a state parameter, plus inner_product
+    with the state on either side, as (name, call on one state)."""
+    return [
         ("apply_local_unitary", lambda s: apply_local_unitary(s, np.eye(2), 1)),
         ("brute_force_gem", brute_force_gem),
         ("gcm", gcm),
@@ -207,21 +206,52 @@ def test_statevector_entry_points_reject_degenerate_amplitudes():
         ("lc_unitary_apply", lambda s: lc_unitary_apply(s, g, 1)),
         ("stabilizer_expectation", lambda s: stabilizer_expectation(s, g, 1)),
         ("subset_purity", lambda s: subset_purity(s, (1,))),
-        ("top_schmidt_weight", lambda s: top_schmidt_weight(s, (1,))),
     ]
+
+
+def test_statevector_entry_points_reject_degenerate_amplitudes():
+    # Every statevector entry point rejects each degenerate state before
+    # any work, with the message of states.checked_state. 1e200 * path
+    # has finite amplitudes, but its squared norm overflows.
+    g = make_graph(3, [(1, 2), (2, 3)])
+    path = build_graph_state(g)
+    calls = _statevector_calls(g, path)
     takes_state = {name for name in graphent.__all__
                    if inspect.isfunction(fn := getattr(graphent, name))
                    and "state" in inspect.signature(fn).parameters}
-    assert {name for name, _ in calls} == takes_state | {"inner_product", "top_schmidt_weight"}
+    assert {name for name, _ in calls} == takes_state | {"inner_product"}
     nan, inf = path.copy(), path.copy()
     nan[0], inf[0] = np.nan, np.inf
     n = MAX_VERTICES + 1
-    for state, message in ((nan, "not finite"), (inf, "not finite"),
+    for state, message in ((nan, "amplitudes are not finite"),
+                           (inf, "amplitudes are not finite"),
+                           (1e200 * path, "norm overflows"),
                            (np.zeros(8), "zero norm"), (1e-14 * path, "zero norm"),
                            (np.full(2**n, 2.0 ** (-n / 2.0)), "MAX_VERTICES")):
         for _, call in calls:
             with pytest.raises(ValueError, match=message):
                 call(state)
+
+
+def test_statevector_entry_points_check_each_state_once(monkeypatch):
+    # Counted through every graphent namespace that binds checked_state:
+    # one check per state argument, so two for inner_product.
+    g = make_graph(3, [(1, 2), (2, 3)])
+    path = build_graph_state(g)
+    check, checks = states.checked_state, []
+
+    def counting_check(state):
+        checks.append(len(state))
+        return check(state)
+
+    for info in pkgutil.iter_modules(graphent.__path__):
+        module = importlib.import_module(f"graphent.{info.name}")
+        if getattr(module, "checked_state", None) is check:
+            monkeypatch.setattr(module, "checked_state", counting_check)
+    for name, call in _statevector_calls(g, path):
+        checks.clear()
+        call(path)
+        assert len(checks) == (2 if name == "inner_product" else 1), name
 
 
 def test_gcm_deterministic():
@@ -381,7 +411,7 @@ def _max_cut_rank_ceiling_matches_oracle(g) -> None:
         for cut in itertools.combinations(range(1, g.n + 1), r)
     )
     assert _fidelity_ceiling(g) == pytest.approx(by_oracle, abs=1e-12)
-    assert _fidelity_ceiling(psi) == pytest.approx(by_oracle, abs=1e-12)
+    assert schmidt_ceiling(psi, g.n) == pytest.approx(by_oracle, abs=1e-12)
 
 
 def test_fidelity_ceiling_matches_schmidt_oracle_on_catalog():

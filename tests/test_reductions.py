@@ -20,7 +20,7 @@ from graphent.graphs import (
 from graphent import reductions
 from graphent.measures import gcm
 from graphent.reductions import subset_purity, top_schmidt_weight
-from graphent.states import build_graph_state
+from graphent.states import build_graph_state, checked_state
 
 from test_states import for_random_graphs, random_unitary
 
@@ -45,10 +45,11 @@ def einsum_reduction(psi: np.ndarray, keep, n: int) -> np.ndarray:
 
 def test_bell_reduction_is_maximally_mixed():
     psi = build_graph_state(make_graph(2, [(1, 2)]))
+    s, n = checked_state(psi)
     for q in (1, 2):
         assert np.allclose(einsum_reduction(psi, [q], 2), np.eye(2) / 2, atol=1e-12)
         assert subset_purity(psi, [q]) == pytest.approx(0.5, abs=1e-12)
-        assert top_schmidt_weight(psi, [q]) == pytest.approx(0.5, abs=1e-12)
+        assert top_schmidt_weight(s, [q], n) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_product_state_purity_is_one():
@@ -108,8 +109,9 @@ def test_top_schmidt_weight_matches_dense_path():
         keep = tuple(int(q) for q in sorted(rng.choice(n, size=r, replace=False) + 1))
         comp = tuple(q for q in range(1, n + 1) if q not in keep)
         dense = np.linalg.eigvalsh(einsum_reduction(psi, keep, n))[-1]
-        assert top_schmidt_weight(psi, keep) == pytest.approx(dense, abs=1e-12)
-        assert top_schmidt_weight(psi, comp) == pytest.approx(dense, abs=1e-12)
+        s = checked_state(psi)[0]
+        assert top_schmidt_weight(s, keep, n) == pytest.approx(dense, abs=1e-12)
+        assert top_schmidt_weight(s, comp, n) == pytest.approx(dense, abs=1e-12)
 
 
 def test_subset_purity_complement_symmetry():
@@ -145,19 +147,23 @@ def test_subset_purity_local_unitary_invariance():
 
 
 def test_subset_validation():
+    # top_schmidt_weight takes a checked state and its n, and still
+    # validates its cut.
     psi = build_graph_state(make_graph(2, [(1, 2)]))
+    s, n = checked_state(psi)
     for keep in ([], [1, 1], [3]):
         with pytest.raises(ValueError):
             subset_purity(psi, keep)
     for cut in ([], [1, 1], [3], [1, 2]):
         with pytest.raises(ValueError):
-            top_schmidt_weight(psi, cut)
+            top_schmidt_weight(s, cut, n)
     # Qubit labels follow the vertex rule: a bool, a numpy integer or an
     # unhashable object is not a label.
     for label in (True, np.int64(1), [1]):
-        for reduce in (subset_purity, top_schmidt_weight):
+        for reduce in (lambda keep: subset_purity(psi, keep),
+                       lambda cut: top_schmidt_weight(s, cut, n)):
             with pytest.raises(ValueError, match="out of range for n=2"):
-                reduce(psi, [label])
+                reduce([label])
 
 
 def test_cut_rank_histogram_is_lc_and_relabel_invariant():
