@@ -88,20 +88,22 @@ def _finish_class(index: int, run) -> MeasureClass:
     return MeasureClass(class_index=index, value=round(mean, 5), members=members)
 
 
-def _checked_kappa(eta_kappa: int) -> int:
+def _checked_kappa(eta_measure: int, eta_kappa: int) -> int:
     if eta_kappa < 1:
         raise ValueError(f"eta_kappa must be >= 1, got {eta_kappa}")
+    if not 0 <= eta_measure <= eta_kappa:
+        raise ValueError(f"eta_measure must be in 0..{eta_kappa}, got {eta_measure}")
     return eta_kappa
 
 
 def resolution_power(eta_measure: int, eta_kappa: int) -> float:
     """Percentage of canonical classes the measure distinguishes."""
-    return 100.0 * eta_measure / _checked_kappa(eta_kappa)
+    return 100.0 * eta_measure / _checked_kappa(eta_measure, eta_kappa)
 
 
 def rp_fraction(eta_measure: int, eta_kappa: int) -> str:
     """Exact ratio as a reduced fraction string, e.g. '3/5'."""
-    f = Fraction(eta_measure, _checked_kappa(eta_kappa))
+    f = Fraction(eta_measure, _checked_kappa(eta_measure, eta_kappa))
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -106,7 +106,7 @@ def make_graph(n: int, edges) -> Graph:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
     adj = [0] * n
     for raw in edges:
-        pair = tuple(raw)
+        pair = tuple(raw) if hasattr(raw, "__iter__") else ()
         if len(pair) == 1:
             pair = (pair[0], pair[0])
         if len(pair) != 2:
@@ -316,13 +316,12 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
     LC at a vertex of a proven class other than its lowest.
     """
     start, _, classes = _canonical_with_perm(g)
-    reps = {start}
+    reps = {start: 0}  # each form found -> its moves back to a parent
     queue = deque([(start, classes)])
-    backs = {start: 0}  # the moves back to a parent, per queued form
     searches = 1
     while queue and target not in reps:
         cur, classes = queue.popleft()
-        back = backs.pop(cur)
+        back = reps[cur]
         for a in range(cur.n):
             if (cur.adj[a].bit_count() < 2 or classes[a] & back
                     or classes[a] & ((1 << a) - 1)):
@@ -330,19 +329,17 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
             nxt, perm, nxt_classes = _canonical_with_perm(_local_complement(cur, a))
             searches += 1
             if nxt in reps:
-                if nxt in backs:
-                    backs[nxt] |= 1 << (perm[a] - 1)
+                reps[nxt] |= 1 << (perm[a] - 1)
                 continue
             if nxt != target and len(reps) >= LC_BUDGET:
                 raise OrbitBudgetExceeded(
                     f"orbit exceeds budget of {LC_BUDGET} representatives"
                 )
-            reps.add(nxt)
+            reps[nxt] = 1 << (perm[a] - 1)
             if nxt == target:
                 break
             queue.append((nxt, nxt_classes))
-            backs[nxt] = 1 << (perm[a] - 1)
-    return reps, searches
+    return set(reps), searches
 
 
 def lc_orbit(g: Graph) -> LcOrbit:

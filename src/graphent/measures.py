@@ -60,10 +60,11 @@ class DegenerateContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GemConfig:
-    """Restart count and restart stream seed of the geometric measure's
-    see-saw; its tolerance and sweep cap are fixed (_TOLERANCE,
-    _MAX_SWEEPS). The CLI sets only the seed, so it always runs the
-    default 64 restarts; another count is set here, through the API."""
+    """Restart count and seed of the one random stream that draws the
+    geometric measure's see-saw starts; its tolerance and sweep cap are
+    fixed (_TOLERANCE, _MAX_SWEEPS). The CLI sets only the seed, so it
+    always runs the default 64 restarts; another count is set here,
+    through the API."""
 
     restarts: int = 64
     seed: int = 0
@@ -172,12 +173,12 @@ def _environments(psi: np.ndarray, factors: np.ndarray):
             state = np.einsum("rjm,rj->rm", state, factors[:, k].conj()).reshape(r, 2, -1)
 
 
-def _draw_factors(seed: int, restart: int, n: int, attempt: int = 0) -> np.ndarray:
-    """Independent per-restart factor draw; scheduling cannot affect it."""
-    key = (seed, restart) if attempt == 0 else (seed, restart, attempt)
-    rng = np.random.default_rng(key)
-    raw = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+def _draw_factors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count starts of n unit factors, (count, n, 2), from the next count *
+    4n standard normals of rng: real and imaginary parts interleave in the
+    last axis, so start r is block r of the stream."""
+    raw = rng.standard_normal((count, n, 4)).view(complex)
+    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
 
 def _fidelity_ceiling(g: Graph) -> float:
@@ -195,11 +196,13 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     histogram alone, with no statevector and no sweep, so cfg has no
     effect. Any other graph, and every statevector, goes to the see-saw.
 
-    Each restart's starting factors come from a dedicated stream keyed
-    by (seed, restart index), and sweeps update qubits 1..n cyclically.
-    A start whose qubit-1 contraction vanishes is redrawn before sweep 1
-    from its stream (seed, restart index, attempt); still degenerate
-    after _MAX_REDRAWS redraws, it raises DegenerateContractionError.
+    One generator, np.random.default_rng(seed), draws every start:
+    restart r takes block r of its stream, so a start depends only on
+    (seed, n, r), not on the restart count. Sweeps update qubits 1..n
+    cyclically. A start whose qubit-1 contraction vanishes is redrawn
+    before sweep 1 from the next block of the same stream; still
+    degenerate after _MAX_REDRAWS redraws, it raises
+    DegenerateContractionError.
     Later contractions cannot vanish: each squared norm is at least the
     fidelity before it, which the see-saw never lowers.
     The sweeps stop for one of three reasons:
@@ -207,15 +210,15 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
     - certified: the best fidelity is within the tolerance _TOLERANCE
       (1e-12) of the ceiling, the smallest top Schmidt weight over all
       cuts, so no product state does better. For a Graph the ceiling is
-      2^-(max cut-rank); for a statevector it is taken over the cuts of
-      at most n/2 qubits, one at a time. That is paid before any sweep
-      and grows about 5x per qubit.
+      2^-(max cut-rank); for a statevector it is taken over the cuts the
+      cut-rank histogram counts, one at a time. That is paid before any
+      sweep and grows about 5x per qubit.
     - converged: every restart converged on its own. From sweep 2 on, a
       restart whose fidelity moved less than _TOLERANCE is frozen: it
       keeps its fidelity, and its factors leave the active batch.
     - the sweep cap _MAX_SWEEPS (500) ran out with restarts still
       active; this is the only case with converged=False. At the
-      default config, catalog ids 40 and 44 end there.
+      default config, catalog id 44 ends there (id 42 at seed 7).
 
     The winner is the highest final fidelity with ties (within
     _TIE_TOL, the restarts that restarts_at_best counts) broken toward
@@ -242,7 +245,8 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
         ceiling = schmidt_ceiling(psi, n)
     r = cfg.restarts
 
-    factors = np.stack([_draw_factors(cfg.seed, i, n) for i in range(r)])
+    rng = np.random.default_rng(cfg.seed)
+    factors = _draw_factors(rng, r, n)
     degenerate_redraws = 0
     for attempt in range(1, _MAX_REDRAWS + 2):
         norms = np.linalg.norm(next(_environments(psi, factors)), axis=1)
@@ -253,7 +257,7 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             raise DegenerateContractionError(
                 f"restart {bad[0]} starts degenerate after {_MAX_REDRAWS} redraws"
             )
-        factors[bad] = [_draw_factors(cfg.seed, int(i), n, attempt) for i in bad]
+        factors[bad] = _draw_factors(rng, bad.size, n)
         degenerate_redraws += bad.size
     fidelities, swept = np.zeros(r), np.zeros(r)
     active = np.arange(r)

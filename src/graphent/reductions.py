@@ -11,7 +11,6 @@ states need no statevector for their purities: see graphs.cut_rank_histogram.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
 import numpy as np
@@ -53,13 +52,11 @@ def _top_weight(s: np.ndarray, keep: tuple[int, ...], n: int) -> float:
 
 
 def _cuts(n: int):
-    """Each bipartition of qubits 1..n once, as its smaller side (of an
-    exact half, the side holding qubit 1): both sides share their purity
-    and Schmidt weights."""
-    for r in range(1, n // 2 + 1):
-        for c in itertools.combinations(range(1, n + 1), r):
-            if 2 * r < n or c[0] == 1:
-                yield c
+    """The nonempty subsets of qubits 1..n-1, the cuts that
+    graphs.cut_rank_histogram counts: one side of each bipartition, whose
+    sides share their purity and Schmidt weights; _gram reduces the smaller."""
+    for mask in range(1, 1 << (n - 1)):
+        yield tuple(q + 1 for q in range(n - 1) if mask >> q & 1)
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:

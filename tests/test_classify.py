@@ -104,6 +104,16 @@ def test_rp_fraction_follows_resolution_powers_rule():
             resolution_power(1, kappa)
 
 
+def test_resolution_power_rejects_eta_measure_outside_0_to_kappa():
+    for eta in (-1, 4):
+        with pytest.raises(ValueError, match="eta_measure must be in 0..3"):
+            resolution_power(eta, 3)
+        with pytest.raises(ValueError, match="eta_measure must be in 0..3"):
+            rp_fraction(eta, 3)
+    assert resolution_power(0, 3) == 0.0
+    assert rp_fraction(3, 3) == "1/1"
+
+
 def test_gcm_report_structure(gcm_values):
     report = build_report("GCM", values=gcm_values)
     assert report.measure_kind == "GCM"

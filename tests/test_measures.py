@@ -395,12 +395,12 @@ def test_gem_anchors(graph_args, expected):
 
 
 def test_gem_best_index_uses_the_tie_tolerance():
-    # On catalog id 6 under seed 0, 16 restarts tie within 1e-9 of the best
-    # fidelity. The highest is restart 21, and restart 14 is the lowest
-    # within 1e-15 of it, but the lowest index of the tie, 0, wins.
+    # On catalog id 6 under seed 0, 13 restarts tie within 1e-9 of the best
+    # fidelity. The highest, clamped to the ceiling, is first reached at
+    # restart 29, but the lowest index of the tie, 2, wins.
     d = gem(build_graph_state(catalog_get(6).graph), GemConfig(seed=0)).diagnostics
-    assert d.restarts_at_best == 16
-    assert d.best_restart_index == 0
+    assert d.restarts_at_best == 13
+    assert d.best_restart_index == 2
 
 
 def _max_cut_rank_ceiling_matches_oracle(g) -> None:
@@ -734,22 +734,25 @@ def test_gem_value_bounds_random_states():
 
 def test_gem_redraws_a_degenerate_start(monkeypatch):
     # Restart 0 starts at |0>|1>|0>, orthogonal to both GHZ branches, so its
-    # first contraction vanishes and it is redrawn from its own stream. It
-    # then runs exactly as if it had started from the redrawn factors.
+    # first contraction vanishes and it is redrawn from the next block of
+    # the same stream. It then runs exactly as if it had started from the
+    # redrawn factors.
     from graphent import measures
 
     draw = measures._draw_factors
     cfg = GemConfig(restarts=1, seed=0)
+    draws = []
 
-    def degenerate_first(seed, restart, n, attempt=0):
-        if attempt == 0:
-            return np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
-        return draw(seed, restart, n, attempt)
+    def degenerate_first(rng, count, n):
+        draws.append(draw(rng, count, n))
+        if len(draws) == 1:
+            return np.array([[[1, 0], [0, 1], [1, 0]]], dtype=complex)
+        return draws[-1]
 
     monkeypatch.setattr(measures, "_draw_factors", degenerate_first)
     redrawn = gem(ghz(3), cfg)
-    monkeypatch.setattr(measures, "_draw_factors",
-                        lambda seed, restart, n, attempt=0: draw(seed, restart, n, 1))
+    assert len(draws) == 2
+    monkeypatch.setattr(measures, "_draw_factors", lambda rng, count, n: draws[1].copy())
     direct = gem(ghz(3), cfg)
     assert redrawn.diagnostics.degenerate_redraws == 1
     assert redrawn.value == direct.value
@@ -762,16 +765,44 @@ def test_gem_start_degenerate_through_every_redraw_raises(monkeypatch):
     # branches: after _MAX_REDRAWS redraws gem gives up and names it.
     from graphent import measures
 
-    attempts = []
+    counts = []
 
-    def always_degenerate(seed, restart, n, attempt=0):
-        attempts.append(attempt)
-        return np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+    def always_degenerate(rng, count, n):
+        counts.append(count)
+        return np.array([[[1, 0], [0, 1], [1, 0]]] * count, dtype=complex)
 
     monkeypatch.setattr(measures, "_draw_factors", always_degenerate)
     with pytest.raises(DegenerateContractionError, match="restart 0"):
         gem(ghz(3), GemConfig(restarts=1, seed=0))
-    assert attempts == list(range(measures._MAX_REDRAWS + 1))
+    assert counts == [1] * (measures._MAX_REDRAWS + 1)
+
+
+def test_gem_draws_every_start_from_one_stream(monkeypatch):
+    # A see-saw call builds one generator and the bound path none; start r
+    # is block r of the stream, so the first 64 starts do not depend on
+    # the restart count.
+    built, draws = [], []
+    default_rng, draw = np.random.default_rng, measures._draw_factors
+
+    def counting(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    def recording(rng, count, n):
+        draws.append(draw(rng, count, n))
+        return draws[-1].copy()
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(measures, "_draw_factors", recording)
+    assert gem(catalog_get(1).graph).method == "bound"
+    assert built == []
+    for gid, seed in ((8, 0), (40, 7)):
+        built.clear()
+        draws.clear()
+        gem(catalog_get(gid).graph, GemConfig(seed=seed))
+        assert built == [(seed,)]
+        longer = draw(default_rng(seed), 256, catalog_get(gid).n)
+        np.testing.assert_array_equal(longer[:64], draws[0])
 
 
 def test_gem_contractions_never_fall_below_the_start(monkeypatch):
