@@ -106,12 +106,13 @@ def make_graph(n: int, edges) -> Graph:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
     adj = [0] * n
     for raw in edges:
-        pair = tuple(raw) if hasattr(raw, "__iter__") else ()
-        if len(pair) == 1:
-            pair = (pair[0], pair[0])
-        if len(pair) != 2:
+        try:
+            pair = tuple(raw)
+        except TypeError:
+            pair = ()
+        if len(pair) not in (1, 2):
             raise ValueError(f"edge {raw!r} is not a vertex pair")
-        i, j = pair
+        i, j = pair[0], pair[-1]
         if not (is_int(i) and is_int(j)):
             raise ValueError(f"edge {raw!r} has non-integer endpoints")
         if i == j:

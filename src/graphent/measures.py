@@ -61,10 +61,9 @@ class DegenerateContractionError(RuntimeError):
 @dataclass(frozen=True)
 class GemConfig:
     """Restart count and seed of the one random stream that draws the
-    geometric measure's see-saw starts; its tolerance and sweep cap are
-    fixed (_TOLERANCE, _MAX_SWEEPS). The CLI sets only the seed, so it
-    always runs the default 64 restarts; another count is set here,
-    through the API."""
+    see-saw's starts; its tolerance and sweep cap are fixed (_TOLERANCE,
+    _MAX_SWEEPS). The CLI sets only the seed, so it always runs the
+    default 64 restarts; another count is set here, through the API."""
 
     restarts: int = 64
     seed: int = 0
@@ -198,11 +197,10 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
 
     One generator, np.random.default_rng(seed), draws every start:
     restart r takes block r of its stream, so a start depends only on
-    (seed, n, r), not on the restart count. Sweeps update qubits 1..n
-    cyclically. A start whose qubit-1 contraction vanishes is redrawn
-    before sweep 1 from the next block of the same stream; still
-    degenerate after _MAX_REDRAWS redraws, it raises
-    DegenerateContractionError.
+    (seed, n, r). Sweeps update qubits 1..n cyclically. A start whose
+    qubit-1 contraction vanishes is redrawn before sweep 1 from the next
+    block of the stream; still degenerate after _MAX_REDRAWS redraws, it
+    raises DegenerateContractionError.
     Later contractions cannot vanish: each squared norm is at least the
     fidelity before it, which the see-saw never lowers.
     The sweeps stop for one of three reasons:

@@ -11,6 +11,7 @@ states need no statevector for their purities: see graphs.cut_rank_histogram.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 
 import numpy as np
@@ -55,8 +56,8 @@ def _cuts(n: int):
     """The nonempty subsets of qubits 1..n-1, the cuts that
     graphs.cut_rank_histogram counts: one side of each bipartition, whose
     sides share their purity and Schmidt weights; _gram reduces the smaller."""
-    for mask in range(1, 1 << (n - 1)):
-        yield tuple(q + 1 for q in range(n - 1) if mask >> q & 1)
+    for r in range(1, n):
+        yield from itertools.combinations(range(1, n), r)
 
 
 def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:

@@ -210,6 +210,8 @@ def test_make_graph_rejects_bad_input():
         make_graph(3, [(1, 2, 3)])
     with pytest.raises(ValueError, match="edge 1 is not a vertex pair"):
         make_graph(3, [1])
+    with pytest.raises(ValueError, match="is not a vertex pair"):
+        make_graph(3, [np.array(1)])
     with pytest.raises(ValueError, match="non-integer"):
         make_graph(3, [(1, 2.0)])
     with pytest.raises(ValueError, match="non-integer"):
