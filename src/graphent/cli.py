@@ -19,9 +19,9 @@ produce identical bytes.
 main alone picks the output format and writes: to --out, or else to
 sys.stdout, looked up at write time so that callers may redirect it.
 Each cmd_* returns a Result, its exit code and a render(fmt) that
-builds only the requested format: a JSON object for json or a list of
-rows (each a list of cells) for csv, both of which main serializes, or
-the text for table.
+builds only the requested format: the text for table, or rows (lists
+of cells) for csv and a JSON object for json, which main serializes.
+It writes JSON with _json, byte for byte json.dumps(obj, indent=2).
 """
 
 from __future__ import annotations
@@ -83,14 +83,29 @@ def _load_graph(args, suffix: str = "") -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _inline(g: Graph) -> str:
+def _inline(n: int, edges) -> str:
     """Inline edges, led by "n N" if vertex n is isolated, so they parse back."""
-    head = [] if g.adj[-1] else [f"n {g.n}"]
-    return ",".join(head + [f"{i} {j}" for i, j in g.edges])
+    head = [] if any(j == n for _, j in edges) else [f"n {n}"]
+    return ",".join(head + [f"{i} {j}" for i, j in edges])
 
 
-def _graph_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
+def _graph_dict(n: int, edges) -> dict:
+    return {"n": n, "edges": [[i, j] for i, j in edges]}
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), written directly; pad leads obj's closing bracket."""
+    inner = pad + "  "
+    join = ("," + inner).join
+    if isinstance(obj, (list, tuple)) and obj:
+        body = join(map(repr, obj)) if set(map(type, obj)) in ({int}, {float}) else "n"
+        if "n" in body:  # not all ints or finite floats; JSON spells nan and inf otherwise
+            body = join([_json(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict) and obj:  # json.dumps turns a key that is no str into its JSON
+        return "{" + inner + join([json.dumps(k if isinstance(k, str) else json.dumps(k))
+                                   + ": " + _json(v, inner) for k, v in obj.items()]) + pad + "}"
+    return json.dumps(obj)  # a scalar, or an empty list or dict
 
 
 def cmd_state(args) -> Result:
@@ -132,18 +147,19 @@ def cmd_measure(args, kind: str) -> Result:
 
 def cmd_lc(args) -> Result:
     moved = local_complement(_load_graph(args), args.vertex)
-    return 0, lambda fmt: _graph_dict(moved) if fmt == "json" else _inline(moved) + "\n"
+    n, edges = moved.n, moved.edges
+    return 0, lambda fmt: _graph_dict(n, edges) if fmt == "json" else _inline(n, edges) + "\n"
 
 
 def cmd_orbit(args) -> Result:
     orbit = lc_orbit(_load_graph(args))
-    reps = orbit.sorted_representatives()
+    reps = sorted((r.n, r.edges) for r in orbit.representatives)  # edges derived once
 
     def render(fmt):
         if fmt == "json":
             return {"size": orbit.size,
-                    "representatives": [_graph_dict(r) for r in reps]}
-        lines = [f"orbit size: {orbit.size}"] + [_inline(r) for r in reps]
+                    "representatives": [_graph_dict(n, edges) for n, edges in reps]}
+        lines = [f"orbit size: {orbit.size}"] + [_inline(n, edges) for n, edges in reps]
         return "\n".join(lines) + "\n"
 
     return 0, render
@@ -318,7 +334,7 @@ def main(argv=None) -> int:
         code, render = args.func(args)
         out = render(args.format)
         if args.format == "json":
-            out = json.dumps(out, indent=2) + "\n"
+            out = _json(out) + "\n"
         elif args.format == "csv":
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(out)

@@ -77,10 +77,6 @@ class LcOrbit:
     def size(self) -> int:
         return len(self.representatives)
 
-    def sorted_representatives(self) -> list[Graph]:
-        """Representatives in a deterministic order (by edge tuple)."""
-        return sorted(self.representatives, key=lambda g: (g.n, g.edges))
-
 
 def is_int(a) -> bool:
     """True if a is an int but not a bool, the one type a vertex, a
@@ -191,6 +187,11 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
     a subset-sum pass turns the tallies into every |S_A|. About 3n numpy
     calls on 2^(n-1) int64: 1-2 ms, 1.1 MB traced peak at n = 16.
     """
+    return np.bincount(_cut_ranks(g), minlength=1)
+
+
+def _cut_ranks(g: Graph) -> np.ndarray:
+    """Each cut's cut-rank, by the kernel above; cut A is entry A - 1."""
     half = 1 << (g.n - 1)
     nbr = np.zeros(1, dtype=np.int64)
     for v in range(g.n - 1):
@@ -200,8 +201,7 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
         pairs = count.reshape(-1, 2, 1 << v)
         pairs[:, 1] += pairs[:, 0]
     # |S_A| is a power of two, so its log2 is the popcount of |S_A| - 1.
-    rank = np.bitwise_count(np.arange(1, half)) - np.bitwise_count(count[1:] - 1)
-    return np.bincount(rank, minlength=1)
+    return np.bitwise_count(np.arange(1, half)) - np.bitwise_count(count[1:] - 1)
 
 
 def independence_number(g: Graph) -> int:
@@ -224,10 +224,9 @@ def independence_number(g: Graph) -> int:
     return alpha((1 << g.n) - 1)
 
 
-def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
-    """Canonical relabeling of g, the permutation achieving it, and
-    classes of vertices proven equivalent: entry v - 1 is the class of
-    label v in the form, as a bitmask of labels.
+def _canonical_search(adj: tuple[int, ...]) -> tuple[tuple, tuple[int, ...], list[int]]:
+    """The certificate search on bitmasks: the best row of each level, the
+    vertex given each label, and each vertex's class of proven equivalents.
 
     The least sorted edge list is the labeling whose adjacency rows, each
     read over the later labels, are lexicographically greatest in label
@@ -237,15 +236,14 @@ def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, .
     and only the candidates with the greatest row go on. A candidate with
     a lower-numbered twin t (N(u) - {t} = N(t) - {u}) in its cell is
     skipped, since swapping twins is an automorphism. The rows fix the
-    form, so tied states with equal ordered cells (all of them, once every
-    vertex is labeled) give the same form: one is kept, and matching its
-    labeled vertices to the other's is an automorphism. The classes are
-    the orbits of these and the twin swaps. This is the certificate search
-    of individualization-refinement (McKay & Piperno, J. Symb. Comput. 60
-    (2014)).
+    form and are its certificate, so tied states with equal ordered cells
+    (all of them, once every vertex is labeled) give the same form: one is
+    kept, and matching its labeled vertices to the other's is an
+    automorphism. The classes are the orbits of these and the twin swaps.
+    This is the certificate search of individualization-refinement
+    (McKay & Piperno, J. Symb. Comput. 60 (2014)).
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     # classes[v]: the vertices proven equivalent to v, as a bitmask.
     classes = [1 << v for v in range(n)]
 
@@ -262,6 +260,7 @@ def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, .
                 join(u, t)
     # Ordered cells (vertex bitmasks) -> the vertices labeled so far.
     states: dict[tuple[int, ...], tuple[int, ...]] = {((1 << n) - 1,): ()}
+    certificate = []
     for _ in range(n):
         best_row: tuple[int, ...] = ()
         ties: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -271,12 +270,12 @@ def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, .
                 if not first >> u & 1 or first & twins[u]:
                     continue
                 nb = adj[u]
-                rest = (first & ~(1 << u),) + cells[1:]
-                row = tuple([(cell & nb).bit_count() for cell in rest])
+                row = tuple([(cell & nb).bit_count() for cell in cells])  # u is not in nb
                 if row < best_row:
                     continue
                 if row > best_row:
                     best_row, ties = row, {}
+                rest = (first & ~(1 << u),) + cells[1:]
                 split = tuple([p for cell in rest for p in (cell & nb, cell & ~nb) if p])
                 if split in ties:  # a tie with equal cells: an automorphism
                     for x, y in zip(ties[split], labeled + (u,)):
@@ -284,10 +283,16 @@ def _canonical_with_perm(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, .
                             join(x, y)
                 else:
                     ties[split] = labeled + (u,)
+        certificate.append(best_row)
         states = ties
-    labeling = next(iter(states.values()))
-    perm = tuple(labeling.index(u) + 1 for u in range(n))
-    return Graph(_relabel(adj, perm)), perm, _relabel(tuple(classes), perm)
+    return tuple(certificate), next(iter(states.values())), classes
+
+
+def _canonical_with_perm(g: Graph, found=None) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """canonical_form(g), its perm and relabeled classes, from found or a fresh search."""
+    _, labeling, classes = found or _canonical_search(g.adj)
+    perm = tuple(labeling.index(u) + 1 for u in range(g.n))
+    return Graph(_relabel(g.adj, perm)), perm, _relabel(tuple(classes), perm)
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -311,36 +316,42 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
     set holds target exactly when it lies in g's orbit. Raises
     OrbitBudgetExceeded if the set would grow past LC_BUDGET before that.
     LC_BUDGET is read at each call, so a test may patch the module's value.
+    Forms are keyed by certificate and built only for a new certificate.
     Moves known to give a form already found are skipped, so forms are
     found in the same order as without them: LC at a vertex of degree 0
     or 1 (the identity), LC back to a parent (LC is an involution), and
     LC at a vertex of a proven class other than its lowest.
     """
-    start, _, classes = _canonical_with_perm(g)
-    reps = {start: 0}  # each form found -> its moves back to a parent
-    queue = deque([(start, classes)])
+    found = _canonical_search(g.adj)
+    start, _, classes = _canonical_with_perm(g, found)
+    backs = {found[0]: 0}  # each form's certificate -> its moves back to a parent
+    forms = {start}
+    queue = deque([(found[0], start, classes)])
     searches = 1
-    while queue and target not in reps:
-        cur, classes = queue.popleft()
-        back = reps[cur]
+    while queue and target not in forms:
+        certificate, cur, classes = queue.popleft()
+        back = backs[certificate]
         for a in range(cur.n):
             if (cur.adj[a].bit_count() < 2 or classes[a] & back
                     or classes[a] & ((1 << a) - 1)):
                 continue
-            nxt, perm, nxt_classes = _canonical_with_perm(_local_complement(cur, a))
+            moved = _local_complement(cur, a)
+            found = certificate, labeling, _ = _canonical_search(moved.adj)
             searches += 1
-            if nxt in reps:
-                reps[nxt] |= 1 << (perm[a] - 1)
+            if certificate in backs:
+                backs[certificate] |= 1 << labeling.index(a)
                 continue
-            if nxt != target and len(reps) >= LC_BUDGET:
+            nxt, _, nxt_classes = _canonical_with_perm(moved, found)
+            if nxt != target and len(backs) >= LC_BUDGET:
                 raise OrbitBudgetExceeded(
                     f"orbit exceeds budget of {LC_BUDGET} representatives"
                 )
-            reps[nxt] = 1 << (perm[a] - 1)
+            backs[certificate] = 1 << labeling.index(a)
+            forms.add(nxt)
             if nxt == target:
                 break
-            queue.append((nxt, nxt_classes))
-    return set(reps), searches
+            queue.append((certificate, nxt, nxt_classes))
+    return forms, searches
 
 
 def lc_orbit(g: Graph) -> LcOrbit:
@@ -358,13 +369,16 @@ def are_lc_equivalent(g1: Graph, g2: Graph) -> bool:
     up to relabeling of vertices. Symmetric in its arguments.
 
     Cut-rank is invariant under local complementation (Bouchet 1988;
-    Oum, JCTB 95 (2005)), so graphs whose cut_rank_histogram differs are
-    rejected without a search. Otherwise g1's orbit is searched until it
-    reaches g2, so LC_BUDGET binds only when g2 is not reached first.
+    Oum, JCTB 95 (2005)), so graphs whose histograms of (smaller side
+    size, cut-rank) over the cuts differ are rejected without a search.
+    Otherwise g1's orbit is searched until it reaches g2, so LC_BUDGET
+    binds only when g2 is not reached first.
     """
     if g1.n != g2.n:
         return False
-    if cut_rank_histogram(g1).tolist() != cut_rank_histogram(g2).tolist():
+    size = np.bitwise_count(np.arange(1, 1 << (g1.n - 1)))
+    key = np.minimum(size, g1.n - size) * g1.n  # a cut-rank is at most this side, so below n
+    if np.bincount(key + _cut_ranks(g1)).tolist() != np.bincount(key + _cut_ranks(g2)).tolist():
         return False
     target = canonical_form(g2)
     return target in _lc_search(g1, target)[0]

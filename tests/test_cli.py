@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -18,7 +19,13 @@ import numpy as np
 import pytest
 
 from graphent import classify, cli, graphs
-from graphent.catalog import CatalogEntry, all_entries, catalog_get, serialize_edge_list
+from graphent.catalog import (
+    CatalogEntry,
+    all_entries,
+    catalog_get,
+    catalog_size,
+    serialize_edge_list,
+)
 from graphent.cli import main
 from graphent.graphs import make_graph
 from graphent.measures import DegenerateContractionError
@@ -197,10 +204,11 @@ def test_equiv_stops_at_target_within_budget(capsys, monkeypatch):
 
 
 def test_equiv_budget_error(capsys, monkeypatch):
-    # 30 and 36 have equal cut-rank histograms, so only the search can
-    # tell them apart, and the budget binds first.
+    # 40 and 42 agree on every cut-rank invariant that are_lc_equivalent
+    # compares, so only the search can tell them apart, and the budget
+    # binds first.
     monkeypatch.setattr(graphs, "LC_BUDGET", 2)
-    code, _, err = run(capsys, "equiv", "--graph", "30", "--graph2", "36")
+    code, _, err = run(capsys, "equiv", "--graph", "40", "--graph2", "42")
     assert code == 1
     assert "budget" in err
 
@@ -508,6 +516,77 @@ def test_verify_catalog_failure_still_reports(tmp_path, capsys, with_k4, fmt):
     else:
         assert "shared orbits: [(3, 46)]" in out
         assert out.count("\n") == 6
+
+
+# Every subcommand's JSON against json.dumps(payload, indent=2) of the
+# payload its render returns; main writes it with its own writer.
+_JSON_COMMANDS = [
+    "state --graph 8", "state --edges 'n 4,1 2'", "gcm --graph 8", "gem --graph 1",
+    "gem --graph 40", "lc --graph 8 --vertex 2", "lc --edges 'n 4,1 2' --vertex 1",
+    "equiv --graph 8 --graph2 9", "equiv --edges '1 2,2 3' --edges2 '1 2,1 3,2 3'",
+    "classify --measure gcm", "classify --measure gem", "rp-table", "verify-catalog",
+]
+
+
+def assert_json_matches_json_dumps(command: str) -> None:
+    argv = shlex.split(command) + ["--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    payload = args.func(args)[1]("json")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0, command
+    assert buf.getvalue() == json.dumps(payload, indent=2) + "\n", command
+
+
+@pytest.mark.parametrize("command", _JSON_COMMANDS)
+def test_json_output_is_json_dumps_bytes(command):
+    assert_json_matches_json_dumps(command)
+
+
+def test_orbit_json_is_json_dumps_bytes_for_every_catalog_id():
+    for gid in range(1, catalog_size() + 1):
+        assert_json_matches_json_dumps(f"orbit --graph {gid}")
+
+
+def test_json_writer_matches_json_dumps_on_nested_payloads():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = [-0.0, 1e-300, float("nan"), float("inf"), -float("inf"), True, False, 1, 0,
+           None, np.float64(0.1), np.float64("nan"), "\u00e9\u2028\x00\x1f\n\t\"\\/", ""]
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                        st.floats().map(np.float64), st.sampled_from(odd))
+    keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+    def nest(kids):
+        return st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                         st.dictionaries(st.text(), kids), st.dictionaries(keys, kids),
+                         st.lists(st.integers()), st.lists(st.floats()),
+                         st.lists(st.sampled_from(odd)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.recursive(scalars, nest, max_leaves=20))
+    @hypothesis.example({"a": [[1, 2], [1.5, -0.0]], "b": {}, "c": [], "d": (True, 1, None)})
+    def check(payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    check()
+
+
+def test_orbit_json_leaves_no_cyclic_garbage():
+    # After a warm-up call, 45 orbit calls leave no reference cycles for
+    # the collector to find, so nothing they allocate waits on it.
+    stdout_of("orbit --graph 1 --format json")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for gid in range(1, catalog_size() + 1):
+            stdout_of(f"orbit --graph {gid} --format json")
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0
 
 
 # Output of the see-saw's commands, byte for byte: the GEM of the 8 ids

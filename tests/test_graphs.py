@@ -18,6 +18,7 @@ from graphent.graphs import (
     OrbitBudgetExceeded,
     are_lc_equivalent,
     canonical_form,
+    cut_rank_histogram,
     independence_number,
     is_connected,
     lc_orbit,
@@ -512,8 +513,42 @@ def test_catalog_orbits_count_their_canonical_searches():
     orbits = [lc_orbit(e.graph) for e in all_entries()]
     assert sum(o.size for o in orbits) == 995
     assert all(o.size <= o.searches for o in orbits)
-    assert sum(o.searches for o in orbits) <= 3400
+    assert sum(o.searches for o in orbits) == 2205
     assert orbits[0] == LcOrbit(orbits[0].representatives)
+
+
+def test_equal_certificates_mean_equal_forms():
+    # On every input of the catalog orbits' searches, and on random graphs
+    # with n <= 8 beside a random relabeling of each, the certificate
+    # decides the form: equal certificates give equal forms and back.
+    searched = []
+    real = graphs._canonical_search
+
+    def spy(adj):
+        searched.append(adj)
+        return real(adj)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_canonical_search", spy)
+        for e in all_entries():
+            lc_orbit(e.graph)
+    assert len(searched) == 2205
+    rng = random.Random(9)
+    graphs_in = [Graph(adj) for adj in searched]
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        g = make_graph(n, [p for p in itertools.combinations(range(1, n + 1), 2)
+                           if rng.random() < 0.5])
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        graphs_in += [g, relabel(g, perm)]
+    form_of, certificate_of = {}, {}
+    for g in graphs_in:
+        certificate = real(g.adj)[0]
+        form = canonical_form(g)
+        assert form_of.setdefault(certificate, form) == form
+        assert certificate_of.setdefault(form, certificate) == certificate
+    assert len(form_of) == len(certificate_of) > 1000
 
 
 def test_orbit_budget_exceeded(monkeypatch):
@@ -565,6 +600,23 @@ def test_lc_equivalence_separates_catalog_classes():
             if a.n == b.n:
                 got = are_lc_equivalent(a.graph, walked[b.id])
                 assert got == (a.id == b.id), (a.id, b.id)
+
+
+def test_side_and_rank_histogram_rejects_catalog_pairs_without_search(monkeypatch):
+    # Each pair agrees on cut_rank_histogram, but not on the histogram of
+    # (smaller side size, cut-rank) over the cuts; 40 and 42 agree on both.
+    def no_search(g, target=None):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(graphs, "_lc_search", no_search)
+    for a, b in [(14, 16), (27, 32), (30, 36), (40, 42)]:
+        ga, gb = catalog_get(a).graph, catalog_get(b).graph
+        assert cut_rank_histogram(ga).tolist() == cut_rank_histogram(gb).tolist()
+        if a == 40:
+            with pytest.raises(AssertionError, match="searched"):
+                are_lc_equivalent(ga, gb)
+        else:
+            assert not are_lc_equivalent(ga, gb) and not are_lc_equivalent(gb, ga)
 
 
 def test_lc_inequivalent_different_n():
