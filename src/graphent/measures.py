@@ -12,7 +12,7 @@ combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank taken over
 GF(2), so no statevector is built ("cut-rank" path). A statevector,
 such as a graph state after arbitrary local unitaries, passes the one
 statevector rule, states.checked_state, once as it enters any public
-function here; the reductions it reaches take it checked, with its n.
+function here; the reductions it reaches take it at unit norm, with its n.
 Each purity comes from a reduced Gram matrix ("statevector" path). The
 geometric one is
 
@@ -112,12 +112,6 @@ class MeasureResult:
     diagnostics: GemDiagnostics | None = None
 
 
-def _normalized(state: np.ndarray) -> tuple[np.ndarray, int]:
-    """The checked statevector at unit norm, and its qubit count."""
-    s, n = checked_state(state)
-    return s / np.sqrt(np.sum(s.real**2 + s.imag**2)), n
-
-
 def gcm(state: Graph | np.ndarray) -> MeasureResult:
     """Closed-form measure from all subsystem purities. Deterministic.
 
@@ -128,7 +122,7 @@ def gcm(state: Graph | np.ndarray) -> MeasureResult:
     and its complement have equal purity.
     """
     if not isinstance(state, Graph):
-        psi, n = _normalized(state)
+        psi, n = checked_state(state)
         return _gcm_result(n, purity_sum(psi, n), "statevector")
     counts = cut_rank_histogram(state)
     return _gcm_result(state.n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
@@ -237,9 +231,11 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
             )
             return MeasureResult(kind="GEM", value=1.0 - ceiling, method="bound",
                                  diagnostics=diag)
-        psi = build_graph_state(state)  # its norm is exactly 1.0
+        # Already at unit norm as checked_state reads it: at odd n the
+        # squared norm is 1.0000000000000002, whose square root rounds to 1.0.
+        psi = build_graph_state(state)
     else:
-        psi, n = _normalized(state)
+        psi, n = checked_state(state)
         ceiling = schmidt_ceiling(psi, n)
     r = cfg.restarts
 
@@ -302,8 +298,8 @@ def gem_bipartite_oracle(state: np.ndarray, cut) -> float:
     top Schmidt weight, so this is exact for 2 qubits and a lower bound
     on the geometric measure otherwise.
     """
-    s, n = _normalized(state)
-    return 1.0 - min(top_schmidt_weight(s, cut, n), 1.0)
+    s, n = checked_state(state)
+    return 1.0 - top_schmidt_weight(s, cut, n)
 
 
 def _grid_refine(s: np.ndarray, angles: np.ndarray,
@@ -358,7 +354,7 @@ def brute_force_gem(state: np.ndarray) -> float:
     azimuths, then polishes the best grid point with local window
     searches. An upper bound on the geometric measure. Deterministic.
     """
-    s, n = _normalized(state)
+    s, n = checked_state(state)
     if n > 3:
         raise ValueError(f"grid search supports at most 3 qubits, got {n}")
     theta = np.linspace(0.0, np.pi, _GRID_DENSITY)

@@ -5,7 +5,8 @@ quantity comes from the Gram matrix of the state's amplitudes on the
 smaller side of the cut, so no full reduced density matrix is formed.
 subset_purity alone checks its state, with states.checked_state, once per
 call and never per cut; top_schmidt_weight (which still validates its
-cut), purity_sum and schmidt_ceiling take a checked state and its n. Graph
+cut), purity_sum and schmidt_ceiling take a checked, unit-norm state and
+its n, and _top_weight caps each weight at 1.0 against rounding. Graph
 states need no statevector for their purities: see graphs.cut_rank_histogram.
 """
 
@@ -49,7 +50,7 @@ def _purity(s: np.ndarray, keep: tuple[int, ...], n: int) -> float:
 
 
 def _top_weight(s: np.ndarray, keep: tuple[int, ...], n: int) -> float:
-    return float(np.linalg.eigvalsh(_gram(s, keep, n))[-1])
+    return min(float(np.linalg.eigvalsh(_gram(s, keep, n))[-1]), 1.0)
 
 
 def _cuts(n: int):
@@ -70,8 +71,8 @@ def subset_purity(state: np.ndarray, keep: Iterable[int]) -> float:
 
 def top_schmidt_weight(s: np.ndarray, cut: Iterable[int], n: int) -> float:
     """The largest eigenvalue of the checked n-qubit state s reduced onto
-    cut, a proper subset of the qubits: for a normalized s, its top Schmidt
-    weight across that bipartition, from the Gram matrix on the smaller side."""
+    cut, a proper subset of the qubits: its top Schmidt weight across that
+    bipartition, from the Gram matrix on the smaller side."""
     keep = _subset(cut, n)
     if len(keep) == n:
         raise ValueError(f"cut must be a proper subset, got {keep!r}")
@@ -86,6 +87,6 @@ def purity_sum(s: np.ndarray, n: int) -> float:
 
 def schmidt_ceiling(s: np.ndarray, n: int) -> float:
     """The smallest top Schmidt weight over all bipartitions of the
-    checked, normalized n-qubit state s, and at most 1.0: no product
-    state's fidelity with s exceeds it."""
-    return min([1.0, *(_top_weight(s, c, n) for c in _cuts(n))])
+    checked n-qubit state s, 1.0 when n = 1: no product state's fidelity
+    with s exceeds it."""
+    return min((_top_weight(s, c, n) for c in _cuts(n)), default=1.0)

@@ -5,7 +5,7 @@ the most significant bit of the basis index, so |q1 q2 ... qn> sits at
 index q1*2^(n-1) + ... + qn. All qubit arguments are 1-indexed.
 One helper serves X_a and the Z's on N(a) for the vertex operators. Every
 public statevector function, here and in reductions and measures, starts
-with checked_state, the one statevector rule.
+with checked_state, the one statevector rule; it returns the unit-norm state.
 """
 
 from __future__ import annotations
@@ -18,26 +18,27 @@ from graphent.graphs import MAX_VERTICES, Graph, check_label
 
 
 def checked_state(state) -> tuple[np.ndarray, int]:
-    """The statevector as a contiguous complex array, and its qubit count n.
+    """The statevector at unit norm as a complex array, and its qubit count n.
     It must hold 2^n amplitudes, 1 <= n <= MAX_VERTICES (checked first),
-    and a norm of at least 1e-12 whose square, one einsum over the float
-    view (off BLAS), is finite; a state that fails is rescanned for the cause."""
+    and a norm of at least 1e-12 whose square, np.sum(s.real**2 + s.imag**2),
+    is finite; a state that fails is rescanned for the cause."""
     s = np.asarray(state)
     if s.ndim != 1:
         raise ValueError(f"statevector must be 1-D, got shape {s.shape}")
     if s.size < 2 or s.size & (s.size - 1):
-        raise ValueError(f"statevector length {s.size} is not a power of two")
+        raise ValueError(f"statevector length {s.size} is not a power of two >= 2")
     n = s.size.bit_length() - 1
     if n > MAX_VERTICES:
         raise ValueError(f"at most MAX_VERTICES = {MAX_VERTICES} qubits, got {n}")
-    s = np.ascontiguousarray(s, dtype=complex)
-    squared = float(np.einsum("i,i->", s.view(float), s.view(float)))
-    if not math.isfinite(squared):
+    s = np.asarray(s, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.sum(s.real**2 + s.imag**2))
+    if not math.isfinite(norm):
         cause = "norm overflows" if np.isfinite(s).all() else "amplitudes are not finite"
         raise ValueError(f"statevector {cause}")
-    if math.sqrt(squared) < 1e-12:
+    if norm < 1e-12:
         raise ValueError("statevector has (near-)zero norm")
-    return s, n
+    return s / norm, n
 
 
 def build_graph_state(g: Graph) -> np.ndarray:
@@ -65,7 +66,7 @@ def apply_local_unitary(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndar
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10):
+    if not np.allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-10):
         raise ValueError("matrix is not unitary")
     t = s.reshape((2,) * n)
     t = np.moveaxis(t, qubit - 1, 0)
@@ -100,7 +101,7 @@ def lc_unitary_apply(state: np.ndarray, g: Graph, a: int) -> np.ndarray:
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with the first argument conjugated."""
+    """<a|b> of the unit-norm states, with the first argument conjugated."""
     a, b = checked_state(a)[0], checked_state(b)[0]
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")

@@ -6,12 +6,15 @@ module-level function is exported or named somewhere in the package
 outside its own body. graphent modules import each other at module
 level only and only by public names, and those imports form no cycle.
 The parameters of the public API are pinned in one inventory. Every
-module parses at the Python floor pyproject.toml declares.
+module parses at the Python floor pyproject.toml declares. Every function
+the benchmark traces (bench/layers.json) is found under its name.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -187,3 +190,17 @@ def test_public_signature_inventory():
         elif not (isinstance(obj, type) and issubclass(obj, Exception)):
             got[name] = list(inspect.signature(obj).parameters)
     assert got == PUBLIC_SIGNATURES
+
+
+def test_benchmark_traced_functions_exist():
+    # The benchmark's tracer looks each layer up by name on its graphent
+    # module, so a rename would break a traced run without this test.
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.json"
+    layers = json.loads(path.read_text())["layers"]
+    missing = []
+    for layer in layers:
+        module, name = layer["function"].rsplit(".", 1)
+        if not inspect.isfunction(getattr(importlib.import_module(f"graphent.{module}"),
+                                          name, None)):
+            missing.append(layer["function"])
+    assert layers and not missing, f"traced functions not found: {missing}"

@@ -233,6 +233,18 @@ def test_statevector_entry_points_reject_degenerate_amplitudes():
                 call(state)
 
 
+def test_statevector_entry_points_read_every_scale_alike():
+    # A state is a ray, and checked_state hands each entry point its unit
+    # norm: psi, 3 psi and 1e-3 psi give one result, a value or an array.
+    g = make_graph(3, [(1, 2), (2, 3)])
+    path = build_graph_state(g)
+    for name, call in _statevector_calls(g, path):
+        want, *scaled = [getattr(r, "value", r)
+                         for r in map(call, (path, 3.0 * path, 1e-3 * path))]
+        for got in scaled:
+            assert np.allclose(got, want, rtol=0, atol=1e-12), name
+
+
 def test_statevector_entry_points_check_each_state_once(monkeypatch):
     # Counted through every graphent namespace that binds checked_state:
     # one check per state argument, so two for inner_product.

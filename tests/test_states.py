@@ -230,6 +230,10 @@ def test_apply_local_unitary_rejects_non_unitary():
     state = plus_state(2)
     with pytest.raises(ValueError):
         apply_local_unitary(state, np.array([[1.0, 0.0], [0.0, 2.0]]), 1)
+    # Off by 8e-6 in u^dagger u: inside np.allclose's default rtol, far
+    # outside the documented 1e-10.
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_local_unitary(state, np.diag([1.0 + 4e-6, 1.0]), 1)
     with pytest.raises(ValueError):
         apply_local_unitary(state, np.eye(3), 1)
 
@@ -332,9 +336,11 @@ def test_inner_product_conjugates_first_argument():
 def test_checked_state_validation():
     s, n = checked_state(np.ones(8))
     assert n == 3 and s.dtype == complex
-    np.testing.assert_array_equal(s, np.ones(8))
+    np.testing.assert_array_equal(s, np.ones(8) / np.sqrt(8.0))
     with pytest.raises(ValueError, match="length 6 is not a power of two"):
         checked_state(np.ones(6))
+    with pytest.raises(ValueError, match="length 1 is not a power of two >= 2"):
+        checked_state(np.ones(1))
     with pytest.raises(ValueError, match="must be 1-D"):
         checked_state(np.ones((2, 2)))
     with pytest.raises(ValueError, match="length 0 is not a power of two"):
