@@ -15,7 +15,8 @@ The cut-rank of a vertex subset A is the rank over GF(2) of the
 adjacency block between A and its complement. The graph state |G> has
 Tr rho_A^2 = 2^-cutrank(A) (Hein, Eisert, Briegel, PRA 69, 062311
 (2004)); cut_rank_histogram gets every purity by counting stabilizer
-supports (Fattal et al., quant-ph/0406168).
+supports (Fattal et al., quant-ph/0406168). The sum of all those purities
+needs only the supports' weights, which stabilizer_weight_counts tallies.
 """
 
 from __future__ import annotations
@@ -174,18 +175,50 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
+def stabilizer_weight_counts(g: Graph) -> np.ndarray:
+    """Entry w counts the stabilizer elements of |G> of weight w, w = 0..n.
+
+    These are the coefficients of the stabilizer weight enumerator. Its
+    value at 1/3 gives the sum of every subsystem purity (Shor & Laflamme,
+    PRL 78, 1600 (1997); Rains, IEEE TIT 44, 1388 (1998)):
+    sum_A Tr rho_A^2 = 2^-n sum_w counts[w] 3^(n - w), with A over all 2^n
+    vertex subsets. One popcount over the 2^n supports (_supports) and one
+    bincount give every count: about 0.6 ms and 1.1 MB traced peak at
+    n = 16.
+    """
+    return np.bincount(np.bitwise_count(_supports(g, g.n)), minlength=g.n + 1)
+
+
+def _supports(g: Graph, k: int) -> np.ndarray:
+    """The one stabilizer-support builder: entry x is the support x | nbr[x]
+    of the element with X on the vertex set x, for the 2^k subsets x of the
+    first k vertices, nbr[x] the XOR of x's neighbourhoods (Fattal,
+    Cubitt, Yamamoto, Bravyi, Chuang, quant-ph/0406168 (2004)). nbr is
+    one XOR of a table over the low k // 2 vertices with one over the rest.
+    """
+    def xor_table(masks):  # entry y: the XOR of the masks whose bit is set in y
+        table = [0]
+        for m in masks:
+            table += [t ^ m for t in table]
+        return np.array(table, dtype=np.int64)
+
+    half = k // 2
+    nbr = xor_table(g.adj[half:k])[:, None] ^ xor_table(g.adj[:half])
+    return np.arange(1 << k) | nbr.ravel()
+
+
 def cut_rank_histogram(g: Graph) -> np.ndarray:
     """Entry k counts the cuts of g whose GF(2) cut-rank is k.
 
     The cuts are the 2^(n-1) - 1 nonempty vertex subsets A that leave
     out vertex n; a subset and its complement have equal cut-rank, so
     these cover every bipartition once. A holds the supports of |S_A| =
-    2^(|A| - cutrank(A)) stabilizer elements of |G> (Fattal, Cubitt,
-    Yamamoto, Bravyi, Chuang, quant-ph/0406168 (2004)). The one with X on
-    the set x has support x | nbr[x], nbr[x] the XOR of x's
-    neighbourhoods. The supports that leave out vertex n are tallied, and
-    a subset-sum pass turns the tallies into every |S_A|. About 3n numpy
-    calls on 2^(n-1) int64: 1-2 ms, 1.1 MB traced peak at n = 16.
+    2^(|A| - cutrank(A)) stabilizer elements of |G>. The supports that
+    leave out vertex n (_supports) are tallied, and a subset-sum pass
+    turns the tallies into every |S_A|. About 2n numpy calls on 2^(n-1)
+    int64: 1-2 ms, 1.1 MB traced peak at n = 16. It serves gem's ceiling
+    and are_lc_equivalent's invariant. It is not GCM's kernel: the sum of
+    the purities needs only the supports' weights (stabilizer_weight_counts).
     """
     return np.bincount(_cut_ranks(g), minlength=1)
 
@@ -193,10 +226,7 @@ def cut_rank_histogram(g: Graph) -> np.ndarray:
 def _cut_ranks(g: Graph) -> np.ndarray:
     """Each cut's cut-rank, by the kernel above; cut A is entry A - 1."""
     half = 1 << (g.n - 1)
-    nbr = np.zeros(1, dtype=np.int64)
-    for v in range(g.n - 1):
-        nbr = np.concatenate((nbr, nbr ^ g.adj[v]))
-    count = np.bincount(np.arange(half) | nbr, minlength=half)[:half]
+    count = np.bincount(_supports(g, g.n - 1), minlength=half)[:half]
     for v in range(g.n - 1):
         pairs = count.reshape(-1, 2, 1 << v)
         pairs[:, 1] += pairs[:, 0]

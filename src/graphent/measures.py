@@ -9,12 +9,18 @@ with A running over one side of each of the 2^(n-1) - 1 bipartitions
 (both sides have the same purity). It takes either input, of at most
 MAX_VERTICES qubits. For a Graph, every purity is exact and
 combinatorial, Tr rho_A^2 = 2^-cutrank(A) with the cut-rank taken over
-GF(2), so no statevector is built ("cut-rank" path). A statevector,
-such as a graph state after arbitrary local unitaries, passes the one
-statevector rule, states.checked_state, once as it enters any public
-function here; the reductions it reaches take it at unit norm, with its n.
-Each purity comes from a reduced Gram matrix ("statevector" path). The
-geometric one is
+GF(2), and their sum has a closed form in the stabilizer weight counts
+c_w (graphs.stabilizer_weight_counts): with the integer
+K = sum_w c_w 3^(n - w), the sum over bipartitions is
+(K - 2^(n+1)) / 2^(n+1) (Shor & Laflamme, PRL 78, 1600 (1997)). Its
+numerator is below 6^n < 2^42 and its denominator a power of two, so the
+float is exact. No statevector and no cut-rank is computed; the path
+keeps the name "cut-rank", the name of the exact graph path. A
+statevector, such as a graph state after arbitrary local unitaries,
+passes the one statevector rule, states.checked_state, once as it
+enters any public function here; the reductions it reaches take it at
+unit norm, with its n. Each purity comes from a reduced Gram matrix
+("statevector" path). The geometric one is
 
     1 - max |<phi|psi>|^2
 
@@ -41,7 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphent.graphs import Graph, cut_rank_histogram, independence_number, is_int
+from graphent.graphs import (
+    Graph,
+    cut_rank_histogram,
+    independence_number,
+    is_int,
+    stabilizer_weight_counts,
+)
 from graphent.reductions import purity_sum, schmidt_ceiling, top_schmidt_weight
 from graphent.states import build_graph_state, checked_state
 
@@ -101,10 +113,11 @@ class GemDiagnostics:
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """A measure value and the path that produced it: "cut-rank" or
-    "statevector" for GCM; for GEM "bound" when a graph's floor meets its
-    ceiling, "certified" when the see-saw reached the Schmidt ceiling,
-    else "see-saw"."""
+    """A measure value and the path that produced it. For GCM,
+    "cut-rank" names the exact graph path, which sums the purities from
+    the stabilizer weight counts, and "statevector" the reduced one. For
+    GEM, "bound" when a graph's floor meets its ceiling, "certified" when
+    the see-saw reached the Schmidt ceiling, else "see-saw"."""
 
     kind: str
     value: float
@@ -115,17 +128,24 @@ class MeasureResult:
 def gcm(state: Graph | np.ndarray) -> MeasureResult:
     """Closed-form measure from all subsystem purities. Deterministic.
 
-    A Graph stands for its graph state |G>. Its purities are 2^-k summed
-    over the cut-rank histogram; each term is a dyadic rational, so the
-    sum is exact and independent of order. A statevector is reduced
-    explicitly, once per bipartition (reductions.purity_sum): a subsystem
-    and its complement have equal purity.
+    A Graph stands for its graph state |G>, and its sum of purities
+    comes from its stabilizer weight counts c_w, w = 0..n: summed over
+    all 2^n subsystems it is K / 2^n, with K = sum_w c_w 3^(n - w) an
+    integer taken in Python ints. Leaving out the empty and the full
+    subsystem and halving for the two sides of each bipartition gives
+    (K - 2^(n+1)) / 2^(n+1), an exact dyadic rational, so the value is
+    bit for bit the one the cut-rank histogram gives ("cut-rank" path).
+    A statevector is reduced explicitly, once per bipartition
+    (reductions.purity_sum): a subsystem and its complement have equal
+    purity.
     """
     if not isinstance(state, Graph):
         psi, n = checked_state(state)
         return _gcm_result(n, purity_sum(psi, n), "statevector")
-    counts = cut_rank_histogram(state)
-    return _gcm_result(state.n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
+    n, k = state.n, 0
+    for c in stabilizer_weight_counts(state).tolist():  # Horner: c_w gains 3^(n - w)
+        k = 3 * k + c
+    return _gcm_result(n, (k - 2 ** (n + 1)) / 2 ** (n + 1), "cut-rank")
 
 
 def _gcm_result(n: int, purities: float, method: str) -> MeasureResult:

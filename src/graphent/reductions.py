@@ -7,7 +7,9 @@ subset_purity alone checks its state, with states.checked_state, once per
 call and never per cut; top_schmidt_weight (which still validates its
 cut), purity_sum and schmidt_ceiling take a checked, unit-norm state and
 its n, and _top_weight caps each weight at 1.0 against rounding. Graph
-states need no statevector for their purities: see graphs.cut_rank_histogram.
+states need no statevector for their purities: graphs.cut_rank_histogram
+gives each cut's, for gem's ceiling, and GCM's sum of them comes from
+graphs.stabilizer_weight_counts, not from the histogram.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from graphent.graphs import (
     local_complement,
     make_graph,
     relabel,
+    stabilizer_weight_counts,
 )
 
 from test_measures import brute_force_independent_set
+from test_reductions import random_graphs
 from test_states import edge_list_neighbors, for_random_graphs
 
 
@@ -562,6 +565,41 @@ def test_orbit_budget_exceeded(monkeypatch):
         lc_orbit(g, max_size=2)
     with pytest.raises(TypeError):
         are_lc_equivalent(g, g, max_size=2)
+
+
+def weight_enumerator(counts, x, y):
+    """A(x, y) = sum_w counts[w] x^(n - w) y^w, n = len(counts) - 1."""
+    n = len(counts) - 1
+    return sum(c * x ** (n - w) * y**w for w, c in enumerate(counts))
+
+
+def test_stabilizer_weight_counts_obey_quantum_macwilliams():
+    # A graph state's stabilizer group is its own symplectic dual, so its
+    # weight enumerator is self-dual: 2^n A(x, y) = A(x + 3y, x - y). Both
+    # sides are homogeneous of degree n, so checking n + 1 distinct y at
+    # x = 1, in exact Fractions, checks the identity itself.
+    for g in [e.graph for e in all_entries()] + random_graphs(range(1, 13), 4):
+        counts = stabilizer_weight_counts(g).tolist()
+        n = g.n
+        assert len(counts) == n + 1, g
+        assert sum(counts) == 2**n and counts[0] == 1, g
+        for k in range(n + 1):
+            y = Fraction(k, n + 1)
+            assert 2**n * weight_enumerator(counts, 1, y) == weight_enumerator(
+                counts, 1 + 3 * y, 1 - y), g
+
+
+def test_stabilizer_weight_counts_are_lc_and_relabel_invariant():
+    # Local complementation maps |G> to |G * a> by a local Clifford, which
+    # keeps every stabilizer element's weight.
+    rng = random.Random(29)
+    for g in [e.graph for e in all_entries()] + random_graphs(range(2, 13), 2):
+        counts = stabilizer_weight_counts(g).tolist()
+        for a in range(1, g.n + 1):
+            assert stabilizer_weight_counts(local_complement(g, a)).tolist() == counts, (g, a)
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        assert stabilizer_weight_counts(relabel(g, perm)).tolist() == counts, (g, perm)
 
 
 def test_lc_equivalence_path_star():

@@ -177,6 +177,7 @@ PUBLIC_SIGNATURES = {
     "rp_fraction": ["eta_measure", "eta_kappa"],
     "serialize_edge_list": ["g"],
     "stabilizer_expectation": ["state", "g", "a"],
+    "stabilizer_weight_counts": ["g"],
     "subset_purity": ["state", "keep"],
 }
 

@@ -9,16 +9,18 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphent
-from graphent import measures, reductions, states
+from graphent import graphs, measures, reductions, states
 from graphent.catalog import all_entries, catalog_get
 from graphent.graphs import (
     MAX_VERTICES,
+    cut_rank_histogram,
     independence_number,
     is_connected,
     local_complement,
@@ -30,6 +32,7 @@ from graphent.measures import (
     GemDiagnostics,
     _environments,
     _fidelity_ceiling,
+    _gcm_result,
     brute_force_gem,
     gcm,
     gem,
@@ -44,7 +47,7 @@ from graphent.states import (
     stabilizer_expectation,
 )
 
-from test_reductions import einsum_reduction
+from test_reductions import einsum_reduction, random_graphs
 from test_states import for_random_graphs, ket, random_graph, random_unitary
 
 
@@ -134,6 +137,73 @@ def test_gcm_graph_path_star_and_complete_at_max_vertices():
     complete = make_graph(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
     for g in (star, complete):
         assert gcm(g).value == pytest.approx(expected, abs=1e-12)
+
+
+def gcm_by_histogram(g):
+    """The cut-rank histogram's sum of purities, 2^-k per cut of rank k:
+    how gcm read a Graph before it summed them from the weight counts."""
+    counts = cut_rank_histogram(g)
+    return _gcm_result(g.n, float(counts @ 0.5 ** np.arange(counts.size)), "cut-rank")
+
+
+def weight_count_cross_check_graphs() -> list:
+    """The catalog, the edgeless graph and graphs whose top vertex is
+    isolated at every n = 1..16, and three seeded random graphs per n."""
+    out = [e.graph for e in all_entries()]
+    for n in range(1, MAX_VERTICES + 1):
+        rng = random.Random(2900 + n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        out.append(make_graph(n, []))
+        out.append(make_graph(n, [(v, v + 1) for v in range(1, n - 1)]))
+        out.append(make_graph(n, [(i, j) for i, j in pairs if j < n]))
+        for density in (0.25, 0.5, 0.8):
+            out.append(make_graph(n, [p for p in pairs if rng.random() < density]))
+    return out
+
+
+def test_gcm_of_a_graph_is_bit_identical_to_the_histogram_sum():
+    # Both sums are exact dyadic rationals, so ==, not a tolerance.
+    for g in weight_count_cross_check_graphs():
+        got = gcm(g)
+        assert got == gcm_by_histogram(g), g
+        assert got.method == "cut-rank"
+
+
+def test_gcm_by_weight_counts_matches_statevector_path():
+    for g in weight_count_cross_check_graphs():
+        if g.n <= 10:
+            assert gcm(g).value == pytest.approx(
+                gcm(build_graph_state(g)).value, abs=1e-12), g
+
+
+def test_gcm_of_a_graph_needs_no_statevector_and_no_cut_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gcm of a Graph took a statevector or cut-rank path")
+
+    for module, name in ((states, "build_graph_state"), (measures, "build_graph_state"),
+                         (graphs, "cut_rank_histogram"), (measures, "cut_rank_histogram"),
+                         (graphs, "_cut_ranks")):
+        monkeypatch.setattr(module, name, refuse)
+    g = catalog_get(40).graph
+    cycle = make_graph(MAX_VERTICES, [(v, v % MAX_VERTICES + 1)
+                                      for v in range(1, MAX_VERTICES + 1)])
+    assert gcm(g).value == pytest.approx(catalog_get(40).expected_gcm, abs=5e-6)
+    assert gcm(cycle).method == "cut-rank"
+    with pytest.raises(AssertionError):
+        gem(g)
+
+
+def test_gcm_memory_at_max_vertices():
+    # One call at n = MAX_VERTICES holds a few arrays of 2^n int64.
+    g = random_graphs([MAX_VERTICES], 1)[0]
+    gcm(g)
+    tracemalloc.start()
+    try:
+        gcm(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_gcm_reports_its_method():
