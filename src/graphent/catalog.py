@@ -4,7 +4,9 @@ One representative per equivalence class under isomorphism combined
 with local complementation. Each entry carries the published reference
 values of both measures; these are test fixtures, not computed truth.
 Also home to the plain-text edge-list format used by the CLI and the
-exported corpus.
+exported corpus. Its reader, parse_edge_list, is the checked way in for
+text, whose errors name their line; make_graph is the one for Python
+pairs.
 """
 
 from __future__ import annotations
@@ -130,10 +132,9 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     n_header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "n":
             if n_header is not None:
                 raise ValueError(f"line {lineno}: duplicate n header")
@@ -167,10 +168,13 @@ def parse_edge_list(text: str) -> Graph:
         if not edges:
             raise ValueError("empty edge list and no n header")
         n_header = min(max(max(i, j) for i, j, _ in edges), MAX_VERTICES)
+    adj = [0] * n_header
     for i, j, lineno in edges:
         if max(i, j) > n_header:
             raise ValueError(f"line {lineno}: edge ({i}, {j}) out of range for n={n_header}")
-    return make_graph(n_header, [(i, j) for i, j, _ in edges])
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return Graph(tuple(adj))
 
 
 def serialize_edge_list(g: Graph) -> str:

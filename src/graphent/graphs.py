@@ -40,8 +40,9 @@ class Graph:
 
     adj[v - 1] has bit u - 1 set when vertices u and v are adjacent, so
     the vertex count is len(adj) and equal graphs have equal masks. The
-    constructor is Graph(adj) and does not validate; build instances
-    through make_graph, which checks and converts raw edge lists.
+    constructor is Graph(adj) and does not validate. There are two
+    checked ways in: make_graph for Python pairs, and
+    catalog.parse_edge_list for text, whose errors name their line.
     """
 
     adj: tuple[int, ...]

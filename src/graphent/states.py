@@ -11,6 +11,7 @@ with checked_state, the one statevector rule; it returns the unit-norm state.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from graphent.graphs import MAX_VERTICES, Graph, check_label
 def checked_state(state) -> tuple[np.ndarray, int]:
     """The statevector at unit norm as a complex array, and its qubit count n.
     It must hold 2^n amplitudes, 1 <= n <= MAX_VERTICES (checked first),
+    each a number that fits a complex double (not a string or a date),
     and a norm of at least 1e-12 whose square, np.sum(s.real**2 + s.imag**2),
     is finite; a state that fails is rescanned for the cause."""
     s = np.asarray(state)
@@ -30,7 +32,16 @@ def checked_state(state) -> tuple[np.ndarray, int]:
     n = s.size.bit_length() - 1
     if n > MAX_VERTICES:
         raise ValueError(f"at most MAX_VERTICES = {MAX_VERTICES} qubits, got {n}")
-    s = np.asarray(s, dtype=complex)
+    if s.dtype.kind not in "biufcO":
+        raise ValueError(f"statevector amplitudes must be numbers, got dtype {s.dtype}")
+    if s.dtype.kind == "O":
+        for a in s:
+            if not isinstance(a, numbers.Number):
+                raise ValueError(f"statevector amplitudes must be numbers, got {a!r}")
+    try:
+        s = np.asarray(s, dtype=complex)
+    except OverflowError:
+        raise ValueError("statevector amplitude overflows a complex double") from None
     with np.errstate(over="ignore"):
         norm = np.sqrt(np.sum(s.real**2 + s.imag**2))
     if not math.isfinite(norm):

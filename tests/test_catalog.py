@@ -1,11 +1,13 @@
 """Catalog data integrity and edge-list format tests."""
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from graphent import catalog, cli, graphs
 from graphent.catalog import (
     all_entries,
     catalog_get,
@@ -117,6 +119,82 @@ def test_parse_edge_list_errors_carry_line_numbers():
     for count in ("1_6", "\uff13", "+3", "9" * 5000):
         with pytest.raises(ValueError, match="line 1: vertex count .* is not an integer"):
             parse_edge_list(f"n {count}\n1 2\n")
+
+
+def test_parse_edge_list_builds_its_graph_without_make_graph(monkeypatch):
+    # The reader checks each edge once and builds the masks itself.
+    expected = [e.graph for e in all_entries()]
+    texts = [serialize_edge_list(g) for g in expected]
+
+    def refuse(*args):
+        raise AssertionError("parse_edge_list called make_graph")
+
+    monkeypatch.setattr(catalog, "make_graph", refuse)
+    monkeypatch.setattr(graphs, "make_graph", refuse)
+    assert [parse_edge_list(t) for t in texts] == expected
+    assert parse_edge_list("1 2\n2 3").edges == ((1, 2), (2, 3))
+    assert parse_edge_list("n 4\n3 1").adj == (0b100, 0, 0b1, 0)
+    assert parse_edge_list("n 1").adj == (0,)
+
+
+def _edge_text(rng: random.Random, n: int, pairs: list) -> str:
+    """One text spelling pairs: each pair either way round, some twice,
+    with comments, blank lines, stray blanks, an n header first, last or
+    (when vertex n has an edge) absent, and LF or CRLF line ends."""
+    lines = []
+    for i, j in pairs:
+        for _ in range(rng.choice((1, 1, 2))):
+            a, b = (i, j) if rng.random() < 0.5 else (j, i)
+            lines.append(rng.choice(("{} {}", " {}\t{} ", "{}  {}")).format(a, b))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "   ", "# a comment", "  #x 1 2")))
+    rng.shuffle(lines)
+    header = f"n {n}"
+    placement = rng.choice(("first", "last", "none"))
+    if placement == "none" and not any(n in p for p in pairs):
+        placement = "first"
+    if placement == "first":
+        lines.insert(0, header)
+    elif placement == "last":
+        lines.append(header)
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_edge_list_matches_make_graph_on_random_texts():
+    rng = random.Random(20260)
+    for n in range(1, 17):
+        every = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for _ in range(40):
+            pairs = rng.sample(every, rng.randint(0, len(every)))
+            text = _edge_text(rng, n, pairs)
+            assert parse_edge_list(text) == make_graph(n, pairs), repr(text)
+    # A header keeps an isolated top vertex that no edge names.
+    assert parse_edge_list("1 2\r\nn 3\r\n") == make_graph(3, [(1, 2)])
+
+
+# Which error fires first: token, zero-vertex and self-loop errors in
+# line order as lines are read; range errors after the last line, so a
+# trailing header still applies.
+PRECEDENCE = [
+    ("1 1\nx 2", "line 1: self-loop at vertex 1"),
+    ("n 2\n1 3\nx 2", "line 3: non-integer vertex in 'x 2'"),
+    ("1 3\nn 2", "line 1: edge (1, 3) out of range for n=2"),
+    ("0 2\n1 1", "line 1: vertex indices must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", PRECEDENCE)
+def test_parse_edge_list_error_precedence(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", PRECEDENCE)
+def test_cli_reports_edge_errors_in_the_same_order(capsys, text, message):
+    assert cli.main(["gcm", "--edges", text.replace("\n", ",")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_serialize_round_trips():

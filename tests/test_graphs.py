@@ -376,8 +376,9 @@ def test_canonical_form_separates_path_and_star_fast(n):
 
 
 def test_isomorphism_witness_relabels_exactly():
-    # The permutation the canonical search returns, which _lc_search
-    # uses to map vertices onto the form, relabels the graph into it.
+    # The permutation built from the canonical search's labeling
+    # relabels the graph into its form. _lc_search reads the labeling
+    # itself, labeling.index(a), to map a vertex onto the form.
     rng = random.Random(37)
     for _ in range(40):
         n = rng.randint(2, 7)

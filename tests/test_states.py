@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphent.graphs import MAX_VERTICES, local_complement, make_graph
+from graphent.measures import gcm
 from graphent.states import (
     apply_local_unitary,
     build_graph_state,
@@ -353,3 +354,17 @@ def test_checked_state_validation():
         checked_state(np.zeros(8))
     with pytest.raises(ValueError, match=f"MAX_VERTICES = 16 qubits, got {MAX_VERTICES + 1}"):
         checked_state(np.ones(2 ** (MAX_VERTICES + 1)))
+    # Only ValueError leaves the rule, and strings and dates are not
+    # amplitudes, though numpy would read ["1", "0"] as |0>.
+    for big in ([1j, 10**400], [10**400, 1]):
+        with pytest.raises(ValueError, match="amplitude overflows a complex double"):
+            checked_state(big)
+    with pytest.raises(ValueError, match="amplitude overflows a complex double"):
+        gcm([10**400, 1])
+    with pytest.raises(ValueError, match="must be numbers, got {}"):
+        checked_state([1, {}])
+    with pytest.raises(ValueError, match="must be numbers, got '1'"):
+        checked_state(np.array([1, "1"], dtype=object))
+    for odd in (["1", "0"], np.array(["2026-10-21", "2026-10-22"], dtype="datetime64[D]")):
+        with pytest.raises(ValueError, match="must be numbers, got dtype"):
+            checked_state(odd)
