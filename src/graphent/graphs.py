@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_VERTICES = 16
-LC_BUDGET = 10**6
+LC_BUDGET = 5 * 10**4  # C16's orbit search reaches it in about 22 s at 140 MB (2-vCPU VM)
 
 
 class OrbitBudgetExceeded(RuntimeError):
-    """Raised when an LC search would exceed LC_BUDGET representatives."""
+    """Raised when an LC search, target or not, would hold over LC_BUDGET forms."""
 
 
 @dataclass(frozen=True)
@@ -332,9 +332,9 @@ def canonical_form(g: Graph) -> Graph:
 
     canonical_form(g1) == canonical_form(g2) exactly when the graphs
     are isomorphic, which makes it a dedup key for orbit enumeration.
-    At n = 16 random graphs take about 0.2 ms, the cycle 1.2 to 1.5 ms,
-    the Clebsch graph about 0.13 s, and the slowest input found, K16
-    minus a perfect matching, 1.1 to 1.5 s (shared 2-vCPU VM, Python 3.11).
+    At n = 16 random graphs take 0.1 to 0.25 ms, the cycle 1.0 to 1.5 ms,
+    the Clebsch graph 0.05 to 0.07 s, and the slowest input found, K16
+    minus a perfect matching, 0.7 to 0.95 s (shared 2-vCPU VM, Python 3.11).
     """
     return _canonical_with_perm(g)[0]
 
@@ -345,8 +345,8 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
 
     Stops as soon as the canonical form ``target`` is reached, so the
     set holds target exactly when it lies in g's orbit. Raises
-    OrbitBudgetExceeded if the set would grow past LC_BUDGET before that.
-    LC_BUDGET is read at each call, so a test may patch the module's value.
+    OrbitBudgetExceeded if the set would grow past LC_BUDGET, target
+    included. LC_BUDGET is read at each call, so a test may patch it.
     Forms are keyed by certificate and built only for a new certificate.
     Moves known to give a form already found are skipped, so forms are
     found in the same order as without them: LC at a vertex of degree 0
@@ -373,7 +373,7 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
                 backs[certificate] |= 1 << labeling.index(a)
                 continue
             nxt, _, nxt_classes = _canonical_with_perm(moved, found)
-            if nxt != target and len(backs) >= LC_BUDGET:
+            if len(backs) >= LC_BUDGET:
                 raise OrbitBudgetExceeded(
                     f"orbit exceeds budget of {LC_BUDGET} representatives"
                 )
@@ -388,8 +388,8 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
 def lc_orbit(g: Graph) -> LcOrbit:
     """Closure of g under local complementation, modulo isomorphism.
 
-    Raises OrbitBudgetExceeded if the closure would grow past LC_BUDGET
-    representatives.
+    Raises OrbitBudgetExceeded if the closure would hold more than
+    LC_BUDGET representatives.
     """
     reps, searches = _lc_search(g)
     return LcOrbit(frozenset(reps), searches)
@@ -402,8 +402,8 @@ def are_lc_equivalent(g1: Graph, g2: Graph) -> bool:
     Cut-rank is invariant under local complementation (Bouchet 1988;
     Oum, JCTB 95 (2005)), so graphs whose histograms of (smaller side
     size, cut-rank) over the cuts differ are rejected without a search.
-    Otherwise g1's orbit is searched until it reaches g2, so LC_BUDGET
-    binds only when g2 is not reached first.
+    Otherwise g1's orbit is searched until it reaches g2, under the same
+    LC_BUDGET as lc_orbit, and g2 counts towards it.
     """
     if g1.n != g2.n:
         return False

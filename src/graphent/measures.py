@@ -223,8 +223,8 @@ def gem(state: Graph | np.ndarray, cfg: GemConfig | None = None) -> MeasureResul
       (1e-12) of the ceiling, the smallest top Schmidt weight over all
       cuts, so no product state does better. For a Graph the ceiling is
       2^-(max cut-rank); for a statevector it is taken over the cuts the
-      cut-rank histogram counts, one at a time. That is paid before any
-      sweep and grows about 5x per qubit.
+      cut-rank histogram counts, one at a time, before any sweep: about
+      2 to 6x more per qubit, and 1.5 minutes at n = 16 (see the README).
     - converged: every restart converged on its own. From sweep 2 on, a
       restart whose fidelity moved less than _TOLERANCE is frozen: it
       keeps its fidelity, and its factors leave the active batch.

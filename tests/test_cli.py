@@ -195,12 +195,22 @@ def test_equiv_equivalent_relabeled(capsys):
 
 
 def test_equiv_stops_at_target_within_budget(capsys, monkeypatch):
-    # Graph 30 complemented at vertex 3 is reached before the budget binds.
-    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
+    # Graph 30 complemented at vertex 3 is the third form the search holds.
+    monkeypatch.setattr(graphs, "LC_BUDGET", 3)
     code, out, _ = run(capsys, "equiv", "--graph", "30", "--edges2",
                        "1 2,2 3,2 4,3 4,4 5,5 6,6 7")
     assert code == 0
     assert out == "equivalent\n"
+
+
+def test_equiv_target_counts_towards_the_budget(capsys, monkeypatch):
+    # One budget rule: reaching the target does not let a search hold a
+    # third form under a budget of two.
+    monkeypatch.setattr(graphs, "LC_BUDGET", 2)
+    code, out, err = run(capsys, "equiv", "--graph", "30", "--edges2",
+                         "1 2,2 3,2 4,3 4,4 5,5 6,6 7")
+    assert (code, out) == (1, "")
+    assert "budget of 2 representatives" in err
 
 
 def test_equiv_budget_error(capsys, monkeypatch):

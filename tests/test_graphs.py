@@ -111,7 +111,7 @@ def unpruned_lc_search(g, max_size, target=None):
             nxt = canonical_form(local_complement(cur, a))
             if nxt in reps:
                 continue
-            if nxt != target and len(reps) >= max_size:
+            if len(reps) >= max_size:
                 raise OrbitBudgetExceeded(
                     f"orbit exceeds budget of {max_size} representatives"
                 )
@@ -566,6 +566,16 @@ def test_orbit_budget_exceeded(monkeypatch):
         lc_orbit(g, max_size=2)
     with pytest.raises(TypeError):
         are_lc_equivalent(g, g, max_size=2)
+
+
+def test_c16_orbit_fails_fast_at_the_budget(monkeypatch):
+    # C16's orbit outgrows the default budget, so its search must stop at
+    # LC_BUDGET forms; the README states the cost at the default.
+    monkeypatch.setattr(graphs, "LC_BUDGET", 500)
+    start = time.perf_counter()
+    with pytest.raises(OrbitBudgetExceeded, match="budget of 500 representatives"):
+        lc_orbit(cycle(16))
+    assert time.perf_counter() - start < 2.0
 
 
 def weight_enumerator(counts, x, y):
