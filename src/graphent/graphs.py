@@ -372,11 +372,11 @@ def _lc_search(g: Graph, target: Graph | None = None) -> tuple[set[Graph], int]:
             if certificate in backs:
                 backs[certificate] |= 1 << labeling.index(a)
                 continue
-            nxt, _, nxt_classes = _canonical_with_perm(moved, found)
             if len(backs) >= LC_BUDGET:
                 raise OrbitBudgetExceeded(
                     f"orbit exceeds budget of {LC_BUDGET} representatives"
                 )
+            nxt, _, nxt_classes = _canonical_with_perm(moved, found)
             backs[certificate] = 1 << labeling.index(a)
             forms.add(nxt)
             if nxt == target:
